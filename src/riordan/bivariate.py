@@ -8,7 +8,7 @@ truncated inclusively.
 
 from __future__ import annotations
 
-from .fps import DomainError, Q
+from .fps import DomainError, Q, _convolve
 
 # -- t-polynomial layer ------------------------------------------------------
 
@@ -27,10 +27,6 @@ def t_add(u, v):
     return [a + b for a, b in zip(u, v)]
 
 
-def t_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
 def t_scale(u, c):
     return [a * c for a in u]
 
@@ -41,16 +37,8 @@ def t_shift(u):
 
 
 def t_mul(u, v):
-    nt = len(u) - 1
-    out = t_zero(nt)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j in range(nt + 1 - i):
-            b = v[j]
-            if b != 0:
-                out[i + j] += a * b
-    return out
+    """Product truncated at the degree of ``u``."""
+    return _convolve(u, v, len(u) - 1)
 
 
 def t_inv(u):
@@ -65,13 +53,6 @@ def t_inv(u):
             if u[j] != 0:
                 acc += u[j] * out[k - j]
         out.append(-acc / c0)
-    return out
-
-
-def t_pow(u, k: int):
-    out = t_const(1, len(u) - 1)
-    for _ in range(k):
-        out = t_mul(out, u)
     return out
 
 

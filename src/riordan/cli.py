@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .fps import DomainError, Poly, Q, RangeError, Series
+from .fps import ConsistencyError, DomainError, Poly, Q, RangeError, Series
 from .genlagrange import beta_matrix
 from .matrix import FinMatrix
 from .numerator import (W_matrix, core_matrix, euler_numerator, exp_matrix,
@@ -37,6 +37,17 @@ def fmt_q(value: Fraction) -> str:
 
 def parse_q(text: str) -> Fraction:
     return Q(text)
+
+
+def _nonneg_int(text: str) -> int:
+    """argparse type for orders and sizes: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
 
 
 def default_order() -> int:
@@ -204,6 +215,8 @@ def _cmd_verify(args) -> int:
                            seed=args.seed)
     except KeyError as err:
         raise _UsageError(str(err.args[0])) from err
+    except DomainError as err:
+        raise _UsageError(str(err)) from err
     if args.format == "json":
         payload = {
             "suite": report.suite,
@@ -236,17 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="expand a series expression")
     p_series.add_argument("expr", help="expression, e.g. '1/(1-x)' or 'catalan'")
-    p_series.add_argument("--order", type=int, default=None)
+    p_series.add_argument("--order", type=_nonneg_int, default=None)
     p_series.add_argument("--format", choices=("text", "csv", "json"),
                           default="text")
     p_series.set_defaults(func=_cmd_series)
 
     p_matrix = sub.add_parser("matrix", help="print an exact connection matrix")
     p_matrix.add_argument("kind", choices=MATRIX_KINDS)
-    p_matrix.add_argument("--n", type=int, required=True)
+    p_matrix.add_argument("--n", type=_nonneg_int, required=True)
     p_matrix.add_argument("--beta", type=parse_q, default=None,
                           help="rational parameter for G/H/A/T, e.g. 1/2")
-    p_matrix.add_argument("--m", type=int, default=None, help="stride for W")
+    p_matrix.add_argument("--m", type=_nonneg_int, default=None, help="stride for W")
     p_matrix.add_argument("--format", choices=("text", "csv", "json"),
                           default="text")
     p_matrix.set_defaults(func=_cmd_matrix)
@@ -255,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_num.add_argument("family", choices=("euler", "narayana", "alpha", "phi"))
     p_num.add_argument("--b", default="1", help="weight series expression")
     p_num.add_argument("--a", required=True, help="column series expression")
-    p_num.add_argument("--n", type=int, required=True)
-    p_num.add_argument("--order", type=int, default=None,
+    p_num.add_argument("--n", type=_nonneg_int, required=True)
+    p_num.add_argument("--order", type=_nonneg_int, default=None,
                        help="evaluation order (raised to the minimum the "
                             "extraction needs)")
     p_num.add_argument("--format", choices=("text", "csv", "json"),
@@ -284,6 +297,9 @@ def main(argv=None) -> int:
         return 2
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
+        return 1
+    except ConsistencyError as err:
+        print("consistency error: %s" % err, file=sys.stderr)
         return 1
     except (DomainError, RangeError) as err:
         print("error: %s" % err, file=sys.stderr)

@@ -8,14 +8,35 @@ coefficient is ever fabricated beyond what both inputs determine.
 A :class:`Poly` is exact (not truncated) and carries a declared degree
 bound that may exceed its true degree; the reversal operator depends on
 the bound, not the degree.
+
+Every product of coefficient lists (``Series * Series``, ``Poly * Poly``
+and the t-polynomial product in :mod:`riordan.bivariate`) goes through
+one kernel, :func:`_convolve`, which uses Kronecker substitution: each
+operand is scaled to integers over the lcm of its denominators, the
+integers are packed into one Python int at a fixed slot width, the two
+ints are multiplied once (CPython's Karatsuba does the convolution) and
+the slots are read back as signed digits.  The result is exact, not a
+heuristic: every product coefficient is an integer sum of at most
+``min(len A, len B)`` terms, each at most ``max|A| * max|B|`` in
+absolute value.  With slot width ``w`` = the bit length of
+``max|A| * max|B| * min(len A, len B)``, plus 2, every coefficient is
+below ``2^(w-2)`` in absolute value, well inside the signed digit range
+``[-2^(w-1), 2^(w-1))``.  An integer has exactly one base-``2^w``
+expansion with digits in that range, and reading the lowest slot as a
+signed residue, then borrowing one into the next slot when that residue
+was negative, recovers it digit by digit.  Dividing each digit by the
+product of the two lcm denominators gives the rational coefficient.
+The cost follows the packed size, so it grows with the lcm of an
+operand's denominators rather than with each coefficient's own height.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 Q = Fraction
+_ZERO = Q(0)
 
 
 class DomainError(ValueError):
@@ -44,6 +65,45 @@ def _q(value) -> Fraction:
 
 
 _SCALARS = (int, Fraction)
+
+
+def _to_ints(coeffs):
+    """Integer numerators over the lcm of the denominators, and that lcm."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a, b, n: int) -> list:
+    """Coefficients 0..n of the product of two nonempty Fraction lists,
+    exactly, by Kronecker substitution (see the module docstring)."""
+    a, b = a[: n + 1], b[: n + 1]
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:  # a scalar times a list: packing would cost more
+        c = a[0]
+        out = [c * v for v in b]
+        out.extend([_ZERO] * (n + 1 - len(out)))
+        return out
+    ia, da = _to_ints(a)
+    ib, db = _to_ints(b)
+    w = (max(map(abs, ia)) * max(map(abs, ib)) * len(a)).bit_length() + 2
+    pa = pb = 0
+    for v in reversed(ia):
+        pa = (pa << w) + v
+    for v in reversed(ib):
+        pb = (pb << w) + v
+    p = pa * pb
+    mask, half, full = (1 << w) - 1, 1 << (w - 1), 1 << w
+    den = da * db
+    out = []
+    for _ in range(n + 1):
+        d = p & mask
+        p >>= w
+        if d >= half:  # negative digit: borrow one from the next slot
+            d -= full
+            p += 1
+        out.append(_ZERO if d == 0 else Q(d) if den == 1 else Q(d, den))
+    return out
 
 
 class Poly:
@@ -133,14 +193,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         bound = self.bound + other.bound
-        out = [Q(0)] * (bound + 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if cj != 0:
-                    out[i + j] += ci * cj
-        return Poly(out, bound)
+        return Poly(_convolve(self.coeffs, other.coeffs, bound), bound)
 
     __rmul__ = __mul__
 
@@ -333,16 +386,7 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [Q(0)] * (n + 1)
-        for i in range(n + 1):
-            ci = self.coeffs[i]
-            if ci == 0:
-                continue
-            for j in range(n + 1 - i):
-                cj = other.coeffs[j]
-                if cj != 0:
-                    out[i + j] += ci * cj
-        return Series(out, n)
+        return Series(_convolve(self.coeffs, other.coeffs, n), n)
 
     __rmul__ = __mul__
 

@@ -16,7 +16,7 @@ from math import comb, factorial
 
 from . import exact
 from .arrays import EXPONENTIAL, RiordanArray, lagrange_pair, table_row
-from .fps import ConsistencyError, Poly, Q, Series, xdlog
+from .fps import ConsistencyError, DomainError, Poly, Q, Series, xdlog
 from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
                           beta_q_transform, beta_u_transform,
                           gen_binomial_series, gen_lagrange_series, q_series,
@@ -1215,7 +1215,10 @@ CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 def run_suite(suite: str = "all", max_n: int = 8, betas=DEFAULT_BETAS,
               seed: int = DEFAULT_SEED) -> Report:
-    """Run one named check or the whole battery."""
+    """Run one named check or the whole battery.  ``max_n`` must be at
+    least 1: below that most checks would compare nothing and pass."""
+    if max_n < 1:
+        raise DomainError("max_n must be at least 1, got %d" % max_n)
     ctx = _Ctx(max_n, betas, seed)
     table = dict(_CHECKS)
     if suite == "all":

@@ -1,8 +1,12 @@
 import json
 
+import pytest
+
 from riordan.cli import main, matrix_from_json, matrix_to_json
+from riordan.fps import ConsistencyError, DomainError
 from riordan.matrix import FinMatrix
 from riordan.numerator import W_matrix, exp_matrix
+from riordan.verify import run_suite
 
 
 def run(capsys, *args):
@@ -186,3 +190,42 @@ def test_verify_custom_betas(capsys):
                        "--betas=-2,1/2,3", "--max-n", "4")
     assert code == 0
     assert "PASS thm6.1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "x", "--order", "-1"),
+    ("numerator", "euler", "--a", "1+x", "--n", "-1"),
+    ("numerator", "narayana", "--a", "1+x", "--n", "1", "--order", "-5"),
+    ("matrix", "W", "--n", "2", "--m", "-1"),
+    ("matrix", "U", "--n", "-3"),
+])
+def test_negative_sizes_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
+def test_consistency_error_is_one_line(capsys, monkeypatch):
+    import riordan.cli as cli
+
+    def disagree(expr, order):
+        raise ConsistencyError("reversion routes disagree")
+
+    monkeypatch.setattr(cli, "parse_series", disagree)
+    code, out, err = run(capsys, "series", "rev(x-x*x)", "--order", "4")
+    assert code == 1 and out == ""
+    assert err == "consistency error: reversion routes disagree\n"
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_verify_rejects_vacuous_max_n(capsys, max_n):
+    code, out, err = run(capsys, "verify", "--suite", "thm2.1",
+                         "--max-n=" + max_n)
+    assert code == 2 and out == ""
+    assert "max_n must be at least 1" in err
+
+
+def test_run_suite_rejects_vacuous_max_n():
+    with pytest.raises(DomainError):
+        run_suite("thm2.1", max_n=0)

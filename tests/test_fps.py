@@ -4,8 +4,8 @@ from math import factorial
 
 import pytest
 
-from riordan import exact
-from riordan.fps import DomainError, Poly, RangeError, Series, xdlog
+from riordan import bivariate, exact
+from riordan.fps import DomainError, Poly, RangeError, Series, _convolve, xdlog
 
 
 def rand_series(rng, order, first=None):
@@ -242,3 +242,97 @@ def test_poly_series_round_trip():
     s = p.to_series(6)
     assert s.coeffs == [Q(1), Q(0), Q(5, 3), Q(0), Q(0), Q(0), Q(0)]
     assert s.poly_part(2) == p
+
+
+# -- product kernel against the schoolbook reference ------------------------------
+
+def schoolbook(a, b, n):
+    """Coefficients 0..n of the product of two coefficient lists."""
+    out = [Q(0)] * (n + 1)
+    for i, ci in enumerate(a[: n + 1]):
+        for j, cj in enumerate(b[: n + 1 - i]):
+            out[i + j] += ci * cj
+    return out
+
+
+PRIMES = [p for p in range(2, 400) if all(p % d for d in range(2, p))]
+BIG = 2 ** 200
+KINDS = ("small", "zero", "sparse", "alternating", "big", "extreme", "coprime")
+
+
+def kernel_coeffs(rng, length, kind):
+    """Operands that stress the kernel: all-zero, sparse, sign changes
+    between neighbours (the unpacking borrows after every negative slot),
+    numerators near 2^200, all coefficients at the same extreme (a product
+    coefficient then reaches the slot bound) and pairwise-coprime
+    denominators (the lcm is as large as it gets)."""
+    if kind == "zero":
+        return [Q(0)] * length
+    if kind == "sparse":
+        return [Q(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.1 else Q(0)
+                for _ in range(length)]
+    if kind == "alternating":
+        return [Q((-1) ** k * rng.randint(1, 2 ** 40), rng.randint(1, 5))
+                for k in range(length)]
+    if kind == "big":
+        return [Q(rng.choice((-1, 1)) * (BIG - rng.randint(0, 2 ** 20)), rng.randint(1, 7))
+                for _ in range(length)]
+    if kind == "extreme":
+        return [Q(rng.choice((-1, 1)) * BIG)] * length
+    if kind == "coprime":
+        return [Q(rng.randint(-50, 50), d) for d in rng.sample(PRIMES, length)]
+    return [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(length)]
+
+
+def kernel_cases(seed, count=40):
+    """(a, b, n) with lengths 0..70, equal or not, and n + 1 below, at or
+    above the length of the full product."""
+    rng = random.Random(seed)
+    for case in range(count):
+        la = rng.randint(0, 70) if case % 4 else rng.randint(0, 2)
+        lb = la if case % 2 == 0 else rng.randint(0, 70)
+        a = kernel_coeffs(rng, la, rng.choice(KINDS))
+        b = kernel_coeffs(rng, lb, rng.choice(KINDS))
+        full = max(la + lb - 1, 1)
+        n = max(full - 1 + (-rng.randint(1, full), 0, rng.randint(1, 5))[case % 3], 0)
+        yield a, b, n
+
+
+def fit(coeffs, order):
+    """``coeffs`` cut or padded with zeros to exactly order + 1 entries."""
+    return (coeffs + [Q(0)] * (order + 1))[: order + 1]
+
+
+def test_series_mul_matches_schoolbook():
+    rng = random.Random(5)
+    for a, b, n in kernel_cases(21):
+        na, nb = n, n + rng.choice((0, 0, rng.randint(1, 6)))
+        if rng.random() < 0.5:
+            na, nb = nb, na
+        got = Series(fit(a, na), na) * Series(fit(b, nb), nb)
+        assert got.order == n
+        assert got.coeffs == schoolbook(a, b, n), (len(a), len(b), n)
+
+
+def test_poly_mul_matches_schoolbook():
+    rng = random.Random(6)
+    for a, b, _ in kernel_cases(22):
+        ba = max(len(a) - 1, 0) + rng.choice((0, 0, 3))
+        bb = max(len(b) - 1, 0) + rng.choice((0, 0, 2))
+        got = Poly(a, ba) * Poly(b, bb)
+        assert got.bound == ba + bb
+        assert got.coeffs == schoolbook(a, b, ba + bb), (len(a), len(b))
+
+
+def test_t_mul_matches_schoolbook():
+    for a, b, n in kernel_cases(23):
+        got = bivariate.t_mul(fit(a, n), fit(b, n))
+        assert got == schoolbook(a, b, n), (len(a), len(b), n)
+        assert all(type(c) is Q for c in got)
+
+
+def test_convolve_matches_schoolbook_on_unpadded_lists():
+    # the kernel pads with zeros when n reaches past the product
+    for a, b, n in kernel_cases(24):
+        if a and b:
+            assert _convolve(a, b, n) == schoolbook(a, b, n), (len(a), len(b), n)
