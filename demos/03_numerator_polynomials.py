@@ -33,10 +33,11 @@ print("exponential diagonals of (1, x/(1-x)) give scaled Narayana polynomials:")
 for n in range(4):
     print("   n=%d: %s" % (n, poly_str(narayana_numerator(one, geo, n).poly)))
 
-cat = gen_binomial_series(2, 1, order)
+cat_order = 2 * (2 * 4 + 1)  # diagonal n = 4 needs order 2(2n+1)
+cat = gen_binomial_series(2, 1, cat_order)
 print("the Catalan case collapses to monomials:")
 for n in range(1, 5):
-    print("   n=%d: %s" % (n, poly_str(narayana_numerator(one, cat, n).poly)))
+    print("   n=%d: %s" % (n, poly_str(narayana_numerator(Series.one(cat_order), cat, n).poly)))
 
 print("bivariate generating identities, checked coefficient by coefficient:")
 print("   ordinary family of 1/(1-x):",

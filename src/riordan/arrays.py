@@ -110,9 +110,6 @@ class RiordanArray:
         out = [self._weight(n, m) * p.coeffs[n] for n in range(self.order + 1)]
         return TriangleSlice(tuple(out), COLUMN, m)
 
-    def column_series(self, m: int) -> Series:
-        return Series(list(self.column(m).entries), self.order)
-
     def diagonal(self, n: int) -> TriangleSlice:
         """Descending diagonal n: entries (n+m, m) for m = 0..order-n."""
         if n > self.order:

@@ -2,7 +2,9 @@
 
 The matrices here act on coefficient column vectors of polynomials whose
 declared bound matches the matrix width; ``apply`` enforces that
-convention.
+convention.  A matrix is immutable: ``data`` is a tuple of row tuples,
+every operation builds a new matrix, and ``row``/``column`` return fresh
+lists, so one matrix can be shared by every caller that asks for it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ class FinMatrix:
     __slots__ = ("n_rows", "n_cols", "data")
 
     def __init__(self, rows):
-        data = [[_q(v) for v in row] for row in rows]
+        data = tuple(tuple([_q(v) for v in row]) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix needs at least one entry")
         width = len(data[0])

@@ -9,11 +9,24 @@ The matrix constructors reproduce the operator families that transport
 these numerators: U, V, J, argument shifts, F, S, C, their order-n
 "tilde" companions acting on numerators with the leading x removed, the
 carry-process matrices W, and the strided-window construction.
+
+``core_matrix``, ``exp_matrix`` and ``tilde_matrix`` depend only on their
+arguments, so they are memoized with ``functools.lru_cache``: the
+matrix built for a given (kind, n) serves every later request for it,
+and ``cache_clear()`` empties the memo.  Sharing one object is safe
+because ``FinMatrix`` is immutable.  A self-check inside a memoized
+constructor (the two routes to S and Sinv, the strip checks of Ft and
+St) therefore runs once per key per process, and a hit returns a matrix
+that has passed it.  A call that raises stores nothing, so it raises
+again next time.  The keys are typed: an n of 2.0 or Fraction(2) does
+not hit the entry built for 2.  ``W_matrix`` and the numerator
+extractions are not memoized and verify on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 from . import bivariate as bv
@@ -142,6 +155,7 @@ def phi_poly(a: Series, n: int) -> Poly:
 # -- matrix families ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None, typed=True)
 def core_matrix(kind: str, n: int, phi=None) -> FinMatrix:
     """The order-n operator matrices U, Uinv, V, Vinv, J and the
     argument-shift E (which needs its shift parameter)."""
@@ -223,6 +237,7 @@ def _f_column(n: int, p: int) -> Poly:
     return Poly(out, n)
 
 
+@lru_cache(maxsize=None, typed=True)
 def exp_matrix(kind: str, n: int) -> FinMatrix:
     """The exponential-side families F, Finv, S, Sinv and the diagonal C.
 
@@ -272,6 +287,7 @@ def _strip(m: FinMatrix, what: str) -> FinMatrix:
     return m.minor()
 
 
+@lru_cache(maxsize=None, typed=True)
 def tilde_matrix(kind: str, n: int) -> FinMatrix:
     """Order-n companions acting on numerators with the leading x removed."""
     if n < 1:
@@ -290,8 +306,6 @@ def tilde_matrix(kind: str, n: int) -> FinMatrix:
         return core_matrix("V", n - 1)
     if kind == "Jt":
         return core_matrix("J", n - 1)
-    if kind == "It":
-        return FinMatrix.identity(n)
     if kind == "Ft":
         return _strip(exp_matrix("F", n), "F")
     if kind == "Ftinv":

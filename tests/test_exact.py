@@ -113,3 +113,30 @@ def test_eulerian_polynomials():
     for n, coeffs in enumerate(want):
         assert exact.eulerian_poly(n) == Poly(coeffs)
         assert exact.eulerian_poly(n).eval(1) == factorial(n)
+
+
+def _eulerian_by_recurrence(n):
+    """A_(k+1) = x(1-x) A_k' + (k+1) x A_k, from A_0 = 1, on whole Polys."""
+    a = Poly.one()
+    x = Poly([0, 1])
+    one_minus_x = Poly([1, -1])
+    for k in range(n):
+        a = x * one_minus_x * a.derivative() + (k + 1) * x * a
+    return a.with_bound(max(n, a.degree()))
+
+
+def test_eulerian_table_out_of_order(monkeypatch):
+    monkeypatch.setattr(exact, "_EULERIAN", {0: (Q(1),)})
+    for n in [12, 3, 20, 0, 7, 1, 19, 12, 2, 15, 4, 5, 6, 8, 9, 10, 11, 13,
+              14, 16, 17, 18]:
+        got = exact.eulerian_poly(n)
+        want = _eulerian_by_recurrence(n)
+        assert got == want and got.bound == want.bound == n
+
+
+def test_eulerian_result_is_a_fresh_copy():
+    p = exact.eulerian_poly(5)
+    p.coeffs[1] = Q(100)
+    p.coeffs.append(Q(7))
+    assert exact.eulerian_poly(5) == _eulerian_by_recurrence(5)
+    assert len(exact.eulerian_poly(5).coeffs) == 6

@@ -45,3 +45,16 @@ def test_column_sums_and_transpose():
     m = FinMatrix([[1, 2], [3, 4]])
     assert m.column_sums() == [4, 6]
     assert m.transpose() == FinMatrix([[1, 3], [2, 4]])
+
+
+def test_matrix_is_immutable():
+    a = FinMatrix([[1, 2], [3, 4]])
+    assert isinstance(a.data, tuple)
+    assert all(isinstance(row, tuple) for row in a.data)
+    with pytest.raises(TypeError):
+        a.data[0][1] = Q(5)
+    with pytest.raises(TypeError):
+        a.data[0] = (Q(5), Q(6))
+    row, col = a.row(0), a.column(0)
+    row[0] = col[0] = Q(9)
+    assert a == FinMatrix([[1, 2], [3, 4]])

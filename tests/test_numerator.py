@@ -3,7 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from riordan.fps import DomainError, Poly, RangeError, Series
+from riordan import numerator
+from riordan.cli import CORE_KINDS, EXP_KINDS, TILDE_KINDS
+from riordan.fps import ConsistencyError, DomainError, Poly, RangeError, Series
 from riordan.genlagrange import gen_binomial_series
 from riordan.matrix import FinMatrix
 from riordan.numerator import (NumeratorResult, W_matrix, alpha_gf_check,
@@ -230,3 +232,43 @@ def test_vanishing_linear_coefficient_supported():
     h = narayana_numerator(Series.one(14), even_big, 3)
     assert h.poly.bound == 3
     assert h.poly.eval(1) == 0
+
+
+_MEMOIZED = [(core_matrix, CORE_KINDS), (exp_matrix, EXP_KINDS),
+             (tilde_matrix, TILDE_KINDS)]
+
+
+def _clear_memos():
+    for ctor, _ in _MEMOIZED:
+        ctor.cache_clear()
+
+
+def test_memoized_constructors_match_fresh_builds():
+    for ctor, kinds in _MEMOIZED:
+        for kind in kinds:
+            for n in range(1, 9):
+                cached = ctor(kind, n)
+                assert ctor(kind, n) is cached
+                assert ctor.__wrapped__(kind, n) == cached
+
+
+def test_memo_keys_are_typed():
+    core_matrix("U", 2)
+    for bad in (2.0, Q(2)):  # equal to 2 and hash alike, but not ints
+        with pytest.raises(TypeError):
+            core_matrix("U", bad)
+
+
+def test_memoized_self_check_runs_on_first_build(monkeypatch):
+    real_binom = numerator.exact.binom
+    _clear_memos()
+    try:
+        monkeypatch.setattr(numerator.exact, "binom",
+                            lambda phi, k: real_binom(phi, k) + 1)
+        for _ in range(2):  # a failed build is not memoized
+            with pytest.raises(ConsistencyError):
+                exp_matrix("Sinv", 3)
+        monkeypatch.setattr(numerator.exact, "binom", real_binom)
+        assert exp_matrix("Sinv", 3) == exp_matrix("S", 3).inverse()
+    finally:
+        _clear_memos()
