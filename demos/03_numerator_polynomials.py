@@ -39,8 +39,8 @@ print("the Catalan case collapses to monomials:")
 for n in range(1, 5):
     print("   n=%d: %s" % (n, poly_str(narayana_numerator(Series.one(cat_order), cat, n).poly)))
 
-print("bivariate generating identities, checked coefficient by coefficient:")
-print("   ordinary family of 1/(1-x):",
-      alpha_gf_check(Series.geometric(2 * 8 + 2), 8, 6))
-print("   exponential family of 1/(1-x):",
-      phi_gf_check(Series.geometric(2 * (2 * 6 + 1)), 6, 6))
+print("generating identities in x and t, checked at n+1 points t for x^0..x^n:")
+print("   ordinary family of 1/(1-x), n=8:",
+      alpha_gf_check(Series.geometric(2 * 8 + 2), 8))
+print("   exponential family of 1/(1-x), n=6:",
+      phi_gf_check(Series.geometric(2 * (2 * 6 + 1)), 6))

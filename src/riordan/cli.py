@@ -35,10 +35,6 @@ def fmt_q(value: Fraction) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-def parse_q(text: str) -> Fraction:
-    return Q(text)
-
-
 def _nonneg_int(text: str) -> int:
     """argparse type for orders and sizes: a nonnegative integer."""
     try:
@@ -93,20 +89,6 @@ def render_matrix(matrix: FinMatrix, fmt: str, meta: dict) -> str:
         payload["rows"] = cells
         return json.dumps(payload, sort_keys=True)
     raise ValueError("unknown format %r" % (fmt,))
-
-
-def matrix_to_json(matrix: FinMatrix, kind: str, n: int, beta=None, m=None) -> str:
-    meta = {"kind": kind, "n": n}
-    if beta is not None:
-        meta["beta"] = fmt_q(beta)
-    if m is not None:
-        meta["m"] = m
-    return render_matrix(matrix, "json", meta)
-
-
-def matrix_from_json(text: str) -> FinMatrix:
-    payload = json.loads(text)
-    return FinMatrix([[Q(cell) for cell in row] for row in payload["rows"]])
 
 
 def poly_str(poly: Poly) -> str:
@@ -209,7 +191,11 @@ def _cmd_numerator(args) -> int:
 def _cmd_verify(args) -> int:
     betas = DEFAULT_BETAS
     if args.betas:
-        betas = tuple(Q(part) for part in args.betas.split(","))
+        try:
+            betas = tuple(Q(part) for part in args.betas.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise _UsageError("--betas needs comma-separated rationals, got %r"
+                              % args.betas) from None
     try:
         report = run_suite(args.suite, max_n=args.max_n, betas=betas,
                            seed=args.seed)
@@ -257,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix = sub.add_parser("matrix", help="print an exact connection matrix")
     p_matrix.add_argument("kind", choices=MATRIX_KINDS)
     p_matrix.add_argument("--n", type=_nonneg_int, required=True)
-    p_matrix.add_argument("--beta", type=parse_q, default=None,
+    p_matrix.add_argument("--beta", type=Q, default=None,
                           help="rational parameter for G/H/A/T, e.g. 1/2")
     p_matrix.add_argument("--m", type=_nonneg_int, default=None, help="stride for W")
     p_matrix.add_argument("--format", choices=("text", "csv", "json"),

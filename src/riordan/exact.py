@@ -106,8 +106,8 @@ _EULERIAN = {0: (Q(1),)}
 
 def eulerian_poly(n: int) -> Poly:
     """Numerator of sum(m^n x^m): 1, x, x+x^2, x+4x^2+x^3, ..."""
-    if n < 0:
-        raise DomainError("eulerian_poly needs n >= 0")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("eulerian_poly needs an integer n >= 0")
     for k in range(len(_EULERIAN) - 1, n):
         c = (Q(0),) + _EULERIAN[k] + (Q(0),)  # c[j + 1] is [x^j] A_k
         # a thread extending the table at the same time stores the same

@@ -9,13 +9,13 @@ A :class:`Poly` is exact (not truncated) and carries a declared degree
 bound that may exceed its true degree; the reversal operator depends on
 the bound, not the degree.
 
-Every product of coefficient lists (``Series * Series``, ``Poly * Poly``
-and the t-polynomial product in :mod:`riordan.bivariate`) goes through
-one kernel, :func:`_convolve`, which uses Kronecker substitution: each
-operand is scaled to integers over the lcm of its denominators, the
-integers are packed into one Python int at a fixed slot width, the two
-ints are multiplied once (CPython's Karatsuba does the convolution) and
-the slots are read back as signed digits.  The result is exact, not a
+Every product of coefficient lists (``Series * Series`` and
+``Poly * Poly``) goes through one kernel, :func:`_convolve`, which uses
+Kronecker substitution: each operand is scaled to integers over the lcm
+of its denominators, the integers are packed into one Python int at a
+fixed slot width, the two ints are multiplied once (CPython's Karatsuba
+does the convolution) and the slots are read back as signed digits.
+The result is exact, not a
 heuristic: every product coefficient is an integer sum of at most
 ``min(len A, len B)`` terms, each at most ``max|A| * max|B|`` in
 absolute value.  With slot width ``w`` = the bit length of

@@ -19,8 +19,10 @@ constructor (the two routes to S and Sinv, the strip checks of Ft and
 St) therefore runs once per key per process, and a hit returns a matrix
 that has passed it.  A call that raises stores nothing, so it raises
 again next time.  The keys are typed: an n of 2.0 or Fraction(2) does
-not hit the entry built for 2.  ``W_matrix`` and the numerator
-extractions are not memoized and verify on every call.
+not hit the entry built for 2, and raises ``DomainError`` as any
+non-int order does.  An unhashable argument fails in the memo itself
+with ``TypeError``.  ``W_matrix`` and the numerator extractions are not
+memoized and verify on every call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from . import bivariate as bv
 from . import exact
 from .fps import (ConsistencyError, DomainError, Poly, Q, RangeError, Series,
                   _q)
@@ -159,8 +160,8 @@ def phi_poly(a: Series, n: int) -> Poly:
 def core_matrix(kind: str, n: int, phi=None) -> FinMatrix:
     """The order-n operator matrices U, Uinv, V, Vinv, J and the
     argument-shift E (which needs its shift parameter)."""
-    if n < 0:
-        raise DomainError("matrix order must be nonnegative")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("matrix order must be a nonnegative integer")
     size = n + 1
     if kind == "U":
         cols = [Q(1, factorial(n)) * _ONE_MINUS_X ** (n - p) * exact.eulerian_poly(p)
@@ -244,8 +245,8 @@ def exp_matrix(kind: str, n: int) -> FinMatrix:
     S and Sinv come out of both their product definition and their
     closed forms; a mismatch raises ConsistencyError.
     """
-    if n < 1:
-        raise DomainError("exponential-family matrices need n >= 1")
+    if not isinstance(n, int) or n < 1:
+        raise DomainError("exponential-family matrices need an integer n >= 1")
     size = n + 1
     if kind == "F":
         return FinMatrix.from_columns([_f_column(n, p) for p in range(size)], size)
@@ -290,8 +291,8 @@ def _strip(m: FinMatrix, what: str) -> FinMatrix:
 @lru_cache(maxsize=None, typed=True)
 def tilde_matrix(kind: str, n: int) -> FinMatrix:
     """Order-n companions acting on numerators with the leading x removed."""
-    if n < 1:
-        raise DomainError("tilde matrices need n >= 1")
+    if not isinstance(n, int) or n < 1:
+        raise DomainError("tilde matrices need an integer n >= 1")
     if kind == "Ut":
         cols = []
         for p in range(n):
@@ -356,60 +357,68 @@ def W_matrix(n: int, m: int) -> FinMatrix:
 
 
 # -- generating-function checks ----------------------------------------------
+#
+# Each identity below equates two power series in x whose coefficients are
+# polynomials in t of degree <= k at x^k.  Two such polynomials agree once
+# they agree at k + 1 distinct points, so checking the identity at order_x + 1
+# rational points t0 decides it through x^order_x.
 
 
-def alpha_gf_check(a: Series, order_x: int, order_t: int) -> bool:
+def _t_points(count: int) -> list:
+    """``count`` distinct integers t0 != 1, the smallest in size first."""
+    return [Q(t) for t in sorted(range(-count, count + 1), key=abs) if t != 1][:count]
+
+
+def alpha_gf_check(a: Series, order_x: int) -> bool:
     """Compare the diagonal-numerator family of (1, x*a) against its
-    bivariate closed form (1-t)/(1 - t*a(x(1-t))), both truncated to
-    (order_x, order_t)."""
+    generating function sum(alpha_k(t) x^k) = (1-t)/(1 - t*a(x(1-t)))
+    through x^order_x.
+
+    alpha_k has degree <= k in t, and so has [x^k] of the right side:
+    1 - t*a(x(1-t)) = (1-t)(1 - t*B) with B = sum_{i>=1} a_i x^i (1-t)^(i-1),
+    so the right side is sum_m t^m B^m, and [x^k] B^m is zero for m > k and
+    carries (1-t)^(k-m) otherwise.  Both sides are therefore compared at
+    order_x + 1 points t0 != 1, each by one Series inverse.
+    """
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")
+    if order_x < 0:
+        raise DomainError("order_x must be nonnegative")
     if a.order < 2 * order_x + 2:
         raise RangeError("series order must be at least 2*order_x + 2")
-    nt = order_t
-    one_minus_t = [Q(1), Q(-1)] + [Q(0)] * (nt - 1) if nt >= 1 else [Q(1)]
-    # denominator 1 - t*a(x(1-t))
-    denom = []
-    p = bv.t_const(1, nt)
-    for k in range(order_x + 1):
-        denom.append(bv.t_scale(bv.t_shift(bv.t_scale(p, a.coeffs[k])), Q(-1)))
-        p = bv.t_mul(p, one_minus_t)
-    denom[0] = bv.t_add(denom[0], bv.t_const(1, nt))
-    rhs = bv.x_inv(denom)
-    rhs = [bv.t_mul(one_minus_t, c) for c in rhs]
-    for k in range(order_x + 1):
-        alpha = alpha_poly(a, k)
-        if [alpha.coeff(j) for j in range(nt + 1)] != rhs[k]:
+    alphas = [alpha_poly(a, k) for k in range(order_x + 1)]
+    for t0 in _t_points(order_x + 1):
+        s = 1 - t0
+        scaled = Series([a.coeffs[k] * s ** k for k in range(order_x + 1)], order_x)
+        rhs = s / (1 - t0 * scaled)
+        if rhs.coeffs != [alpha.eval(t0) for alpha in alphas]:
             return False
     return True
 
 
-def phi_gf_check(a: Series, order_x: int, order_t: int) -> bool:
+def phi_gf_check(a: Series, order_x: int) -> bool:
     """Compare the exponential diagonal-numerator family of (1, x*a)
-    against (1-t) * b(x(1-t)^2) with (1, x*b) inverse to (1, x(1-t*a)),
-    truncated to (order_x, order_t)."""
+    against phi_k(t)/(k+1)! = (1-t)^(2k+1) [x^(k+1)] x*b for k <= order_x,
+    where (1, x*b) is inverse to (1, x(1 - t*a)).
+
+    phi_k has degree <= k in t, and so has the right side: Lagrange
+    inversion gives (1-t)^(2k+1) [x^(k+1)] x*b =
+    (1/(k+1)) sum_{m<=k} C(k+m, m) t^m (1-t)^(k-m) [x^k] (a-1)^m.
+    Both sides are therefore compared at order_x + 1 points t0 != 1, each
+    by one Series reversion (which cross-checks itself).
+    """
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")
+    if order_x < 0:
+        raise DomainError("order_x must be nonnegative")
     if a.order < 2 * (2 * order_x + 1):
         raise RangeError("series order must be at least 2(2*order_x + 1)")
-    nt = order_t
-    one_minus_t = [Q(1), Q(-1)] + [Q(0)] * (nt - 1) if nt >= 1 else [Q(1)]
-    # G = x(1 - t*a(x)) as a grid in x, one order past order_x so that the
-    # shifted-down reversion is known through order_x
-    G = [bv.t_zero(nt)]
-    for k in range(1, order_x + 2):
-        c = bv.t_scale(bv.t_shift(bv.t_const(a.coeffs[k - 1], nt)), Q(-1))
-        if k == 1:
-            c = bv.t_add(c, bv.t_const(1, nt))
-        G.append(c)
-    xb = bv.x_reversion(G)
-    scale2 = bv.t_mul(one_minus_t, one_minus_t)
-    p = one_minus_t
-    for k in range(order_x + 1):
-        rhs = bv.t_mul(xb[k + 1], p)
-        p = bv.t_mul(p, scale2)
-        phi = phi_poly(a, k)
-        lhs = [phi.coeff(j) / factorial(k + 1) for j in range(nt + 1)]
-        if lhs != rhs:
+    phis = [phi_poly(a, k) for k in range(order_x + 1)]
+    for t0 in _t_points(order_x + 1):
+        s = 1 - t0
+        # one order past order_x, so that [x^(order_x+1)] x*b is known
+        xb = (1 - t0 * a.truncate(order_x)).mul_x().reversion()
+        rhs = [xb.coeffs[k + 1] * s ** (2 * k + 1) for k in range(order_x + 1)]
+        if rhs != [phi.eval(t0) / factorial(k + 1) for k, phi in enumerate(phis)]:
             return False
     return True

@@ -2,7 +2,8 @@
 
 Criterion 1  exact reproduction of every printed matrix and polynomial
 Criterion 2  randomized theorem suites at n <= 8 over the stated betas
-Criterion 3  closed forms against extraction, plus bivariate truncations
+Criterion 3  closed forms against extraction, plus the generating
+             functions in x and t, checked at rational points of t
 Criterion 4  Lagrange-pair coefficients, fixed points, the u/q system,
              and the table round trip
 Criterion 5  the worked examples, one named check each

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from riordan.cli import main, matrix_from_json, matrix_to_json
+from riordan.cli import main
 from riordan.fps import ConsistencyError, DomainError
 from riordan.matrix import FinMatrix
 from riordan.numerator import W_matrix, exp_matrix
@@ -95,13 +95,15 @@ def test_matrix_json_round_trip(capsys):
     assert payload["kind"] == "H" and payload["n"] == 3 and payload["beta"] == "1/2"
     from riordan.genlagrange import beta_matrix
     from fractions import Fraction as Q
-    assert matrix_from_json(out) == beta_matrix("H", 3, Q(1, 2))
-
-
-def test_matrix_to_json_helper():
-    w = W_matrix(2, 2)
-    text = matrix_to_json(w, "W", 2, m=2)
-    assert matrix_from_json(text) == w
+    rows = [[Q(cell) for cell in row] for row in payload["rows"]]
+    assert FinMatrix(rows) == beta_matrix("H", 3, Q(1, 2))
+    code, out, _ = run(capsys, "matrix", "W", "--n", "2", "--m", "2",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "W" and payload["n"] == 2 and payload["m"] == 2
+    rows = [[Q(cell) for cell in row] for row in payload["rows"]]
+    assert FinMatrix(rows) == W_matrix(2, 2)
 
 
 def test_numerator_euler(capsys):
@@ -190,6 +192,15 @@ def test_verify_custom_betas(capsys):
                        "--betas=-2,1/2,3", "--max-n", "4")
     assert code == 0
     assert "PASS thm6.1" in out
+
+
+@pytest.mark.parametrize("betas", ["abc", "1,,2"])
+def test_verify_bad_betas_are_usage_errors(capsys, betas):
+    code, out, err = run(capsys, "verify", "--suite", "thm6.1",
+                         "--betas", betas)
+    assert code == 2 and out == ""
+    assert err == ("usage error: --betas needs comma-separated rationals, "
+                   "got %r\n" % betas)
 
 
 @pytest.mark.parametrize("argv", [

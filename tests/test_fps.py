@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from riordan import bivariate, exact
+from riordan import exact
 from riordan.fps import DomainError, Poly, RangeError, Series, _convolve, xdlog
 
 
@@ -322,13 +322,6 @@ def test_poly_mul_matches_schoolbook():
         got = Poly(a, ba) * Poly(b, bb)
         assert got.bound == ba + bb
         assert got.coeffs == schoolbook(a, b, ba + bb), (len(a), len(b))
-
-
-def test_t_mul_matches_schoolbook():
-    for a, b, n in kernel_cases(23):
-        got = bivariate.t_mul(fit(a, n), fit(b, n))
-        assert got == schoolbook(a, b, n), (len(a), len(b), n)
-        assert all(type(c) is Q for c in got)
 
 
 def test_convolve_matches_schoolbook_on_unpadded_lists():

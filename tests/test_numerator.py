@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from riordan import numerator
+from riordan import exact, numerator, verify
 from riordan.cli import CORE_KINDS, EXP_KINDS, TILDE_KINDS
 from riordan.fps import ConsistencyError, DomainError, Poly, RangeError, Series
 from riordan.genlagrange import gen_binomial_series
@@ -190,15 +190,65 @@ def test_w_matrix_fixtures_and_routes():
 
 
 def test_alpha_gf_check_trivial_and_families():
-    assert alpha_gf_check(Series.one(14), 4, 4)
-    assert alpha_gf_check(geo(16), 6, 5)
+    assert alpha_gf_check(Series.one(14), 4)
+    assert alpha_gf_check(geo(16), 6)
     order = 2 * 8 + 2
     a = Series.one(order) / Series.from_poly([1, 1, 1], order)
-    assert alpha_gf_check(a, 8, 6)
+    assert alpha_gf_check(a, 8)
 
 
 def test_phi_gf_check_geometric():
-    assert phi_gf_check(geo(26), 6, 5)
+    assert phi_gf_check(geo(26), 6)
+
+
+def test_gf_checks_reject_negative_order():
+    for check in (alpha_gf_check, phi_gf_check):
+        with pytest.raises(DomainError):
+            check(geo(16), -1)
+
+
+def _perturbed(real, k, delta):
+    """``real`` with ``delta`` added to its n = k polynomial."""
+    def wrong(a, n):
+        return real(a, n) + delta if n == k else real(a, n)
+    return wrong
+
+
+def _vanishing_at(points):
+    out = Poly.one()
+    for t0 in points:
+        out = out * Poly([-t0, 1])
+    return out
+
+
+# a low coefficient, the top coefficient t^6 of the k = 6 polynomial, and a
+# degree-6 change that vanishes at all but one of the seven points checked
+@pytest.mark.parametrize("k, delta", [
+    (4, Poly.monomial(2)),
+    (6, Poly.monomial(6)),
+    (6, _vanishing_at(numerator._t_points(6))),
+], ids=["low", "top", "vanishing"])
+def test_gf_checks_catch_a_wrong_numerator(monkeypatch, k, delta):
+    monkeypatch.setattr(numerator, "alpha_poly", _perturbed(alpha_poly, k, delta))
+    monkeypatch.setattr(numerator, "phi_poly", _perturbed(phi_poly, k, delta))
+    assert not alpha_gf_check(geo(16), 6)
+    assert not phi_gf_check(geo(26), 6)
+
+
+# ex2.3 reaches x^8: a low coefficient, and the top coefficient t^8 of alpha_8
+@pytest.mark.parametrize("k, delta", [(3, Poly.monomial(1)), (8, Poly.monomial(8))],
+                         ids=["low", "top"])
+def test_ex23_catches_a_wrong_numerator(monkeypatch, k, delta):
+    wrong = _perturbed(alpha_poly, k, delta)
+    monkeypatch.setattr(numerator, "alpha_poly", wrong)
+    detail = verify.run_suite("ex2.3").results[0].detail
+    assert detail.startswith("generating identity fails")
+    monkeypatch.setattr(numerator, "alpha_poly", alpha_poly)
+    monkeypatch.setattr(verify, "alpha_poly", wrong)
+    report = verify.run_suite("ex2.3")
+    assert not report.ok
+    assert report.results[0].detail.startswith(
+        "closed rational form differs at x^%d" % k)
 
 
 def test_numerator_result_shape():
@@ -255,8 +305,12 @@ def test_memoized_constructors_match_fresh_builds():
 def test_memo_keys_are_typed():
     core_matrix("U", 2)
     for bad in (2.0, Q(2)):  # equal to 2 and hash alike, but not ints
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError):
             core_matrix("U", bad)
+    for ctor, args in ((exp_matrix, ("S", Q(2))), (tilde_matrix, ("Ut", 2.5)),
+                       (exact.eulerian_poly, (2.0,))):
+        with pytest.raises(DomainError):
+            ctor(*args)
 
 
 def test_memoized_self_check_runs_on_first_build(monkeypatch):
