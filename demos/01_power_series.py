@@ -24,8 +24,8 @@ show("(1-x) * 1/(1-x)", Series.from_poly([1, -1], order) * geo, 8)
 mobius = Series.x(order) / Series.from_poly([1, 1], order)
 show("geo o (x/(1+x))", geo.compose(mobius), 8)
 
-# reversion solves g(h(x)) = x coefficient by coefficient and cross-checks
-# itself against the coefficient-extraction formula
+# reversion reads each coefficient off a power of x/g (Lagrange inversion)
+# and then checks g(h(x)) = x, which only the true inverse satisfies
 h = Series.from_poly([0, 1, -1], order).reversion()
 show("reversion of x - x^2", h, 8)
 print("   (the Catalan numbers)")

@@ -158,17 +158,7 @@ class RiordanArray:
         argument: coefficient j is (n!/j!) [x^n] f*g^j."""
         if self.flavor != EXPONENTIAL:
             raise DomainError("Sheffer rows belong to the exponential flavor")
-        if n > self.order:
-            raise RangeError("row %d beyond order %d" % (n, self.order))
-        f, g = self.f.truncate(n), self.g.truncate(n)
-        fact_n = factorial(n)
-        out = []
-        p = f
-        for j in range(n + 1):
-            out.append(Q(fact_n, factorial(j)) * p.coeffs[n])
-            if j < n:
-                p = p * g
-        return Poly(out, n)
+        return self.row_poly(n)
 
     def __repr__(self):
         return "RiordanArray(%r, %r, %s)" % (self.f, self.g, self.flavor)

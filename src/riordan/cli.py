@@ -46,6 +46,14 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type for --beta: an exact rational such as -2 or 1/2."""
+    try:
+        return Q(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("not a rational: %r" % text) from None
+
+
 def default_order() -> int:
     raw = os.environ.get("RIORDAN_ORDER_DEFAULT")
     if raw is None:
@@ -243,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix = sub.add_parser("matrix", help="print an exact connection matrix")
     p_matrix.add_argument("kind", choices=MATRIX_KINDS)
     p_matrix.add_argument("--n", type=_nonneg_int, required=True)
-    p_matrix.add_argument("--beta", type=Q, default=None,
+    p_matrix.add_argument("--beta", type=_rational, default=None,
                           help="rational parameter for G/H/A/T, e.g. 1/2")
     p_matrix.add_argument("--m", type=_nonneg_int, default=None, help="stride for W")
     p_matrix.add_argument("--format", choices=("text", "csv", "json"),

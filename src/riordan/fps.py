@@ -445,34 +445,30 @@ class Series:
         return acc
 
     def reversion(self) -> "Series":
-        """Compositional inverse, solved coefficient by coefficient and
-        cross-checked against the coefficient-extraction formula."""
+        """Compositional inverse by Lagrange inversion,
+        [x^m] rev = [x^(m-1)] (x/self)^m / m, checked by self(rev) = x.
+
+        The check settles the result: with g1 the linear coefficient of
+        self, coefficient k of self(h) is g1*h_k plus a polynomial in
+        h_1..h_(k-1), so with g1 != 0 exactly one h with zero constant
+        term satisfies self(h) = x through order n.  A rev that passes is therefore the reversion; one that
+        does not raises ConsistencyError.
+        """
         n = self.order
         if n < 1 or self.coeffs[0] != 0:
             raise DomainError("reversion needs zero constant term and order >= 1")
-        g1 = self.coeffs[1]
-        if g1 == 0:
+        if self.coeffs[1] == 0:
             raise DomainError("reversion needs a nonzero linear coefficient")
-        h = [Q(0), 1 / g1]
-        for k in range(2, n + 1):
-            partial = Series(h + [Q(0)] * (k + 1 - len(h)), k)
-            value = self.truncate(k).compose(partial).coeffs[k]
-            h.append(-value / g1)
-        direct = Series(h, n)
-        if direct != self._reversion_extraction():
-            raise ConsistencyError("reversion routes disagree")
-        return direct
-
-    def _reversion_extraction(self) -> "Series":
-        """Reversion through [x^n] of powers of x/self."""
-        n = self.order
         v = self.div_x().inverse()
         out = [Q(0)]
         power = Series.one(n - 1)
         for m in range(1, n + 1):
             power = power * v
             out.append(power.coeffs[m - 1] / m)
-        return Series(out, n)
+        rev = Series(out, n)
+        if self.compose(rev) != Series.x(n):
+            raise ConsistencyError("reversion fails self(rev) = x through order %d" % n)
+        return rev
 
     # -- transcendental-style operations -------------------------------
 

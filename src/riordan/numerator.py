@@ -32,6 +32,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import exact
+from .arrays import EXPONENTIAL, SQUARE, RiordanArray
 from .fps import (ConsistencyError, DomainError, Poly, Q, RangeError, Series,
                   _q)
 from .matrix import FinMatrix
@@ -46,43 +47,19 @@ class NumeratorResult:
     residual_checked: int
 
 
-def _check_square_pair(b: Series, a: Series):
+def _check_square_pair(b: Series, a: Series, n: int):
     if a.coeffs[0] != 1:
         raise DomainError("column series needs a(0) = 1")
     if b.coeffs[0] == 0:
         raise DomainError("weight series needs b(0) != 0")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("n must be a nonnegative integer, got %r" % (n,))
 
 
-def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
-    """Numerator polynomial of row n of the square array (b, a).
-
-    Built from the row of (b, a-1); an independent pass multiplies the
-    truncated row generating function of (b, a) by (1-x)^(n+1) and
-    demands that coefficients n+1..2n+1 vanish.
-    """
-    _check_square_pair(b, a)
-    if min(b.order, a.order) < 2 * n + 2:
-        raise RangeError("series order must be at least 2n+2")
-    bt, at = b.truncate(n), a.truncate(n)
-    am1 = at - 1
-    acc = Poly.zero(n)
-    p = bt
-    for m in range(n + 1):
-        w = p.coeffs[n]
-        if w != 0:
-            acc = acc + w * Poly.monomial(m) * _ONE_MINUS_X ** (n - m)
-        if m < n:
-            p = p * am1
-    g = acc.with_bound(n)
-
-    # residual window through the other route
-    t = []
-    p = bt
-    for m in range(2 * n + 2):
-        t.append(p.coeffs[n])
-        if m < 2 * n + 1:
-            p = p * at
-    product = Poly(t, 2 * n + 1) * _ONE_MINUS_X ** (n + 1)
+def _check_residual(t, power: int, g: Poly, n: int):
+    """Multiply the diagonal terms t (x^0..x^(2n+1)) by (1-x)^power and
+    demand the product equal g through x^n and vanish through x^(2n+1)."""
+    product = Poly(t, 2 * n + 1) * _ONE_MINUS_X ** power
     for k in range(n + 1):
         if product.coeff(k) != g.coeff(k):
             raise ConsistencyError("numerator routes disagree at coefficient %d" % k)
@@ -90,56 +67,49 @@ def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
         if product.coeff(k) != 0:
             raise ConsistencyError(
                 "nonzero residual at coefficient %d; is a(0) = 1 and the order big enough?" % k)
+
+
+def _square_row(b: Series, a: Series, n: int) -> tuple:
+    """[x^n] b*a^m for m = 0..2n+1: row n of the square array (b, a)."""
+    return RiordanArray(b.truncate(2 * n + 1), a.truncate(2 * n + 1), SQUARE).row(n).entries
+
+
+def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
+    """Numerator polynomial of row n of the square array (b, a).
+
+    Built from row n of (b, a-1); an independent pass multiplies row n
+    of the square array (b, a), read as a generating function, by
+    (1-x)^(n+1) and demands that coefficients n+1..2n+1 vanish.
+    """
+    _check_square_pair(b, a, n)
+    if min(b.order, a.order) < 2 * n + 2:
+        raise RangeError("series order must be at least 2n+2")
+    row = RiordanArray(b.truncate(n), a.truncate(n) - 1).row(n)
+    g = sum((w * Poly.monomial(m) * _ONE_MINUS_X ** (n - m)
+             for m, w in enumerate(row) if w != 0), Poly.zero(n))
+    _check_residual(_square_row(b, a, n), n + 1, g, n)
     return NumeratorResult(g, n + 1)
-
-
-def _sheffer_log_row(b: Series, a: Series, n: int) -> Poly:
-    """Row n of the exponential array (b, log a) as a polynomial."""
-    bt = b.truncate(n)
-    L = a.truncate(n).log()
-    fact_n = factorial(n)
-    out = []
-    p = bt
-    for j in range(n + 1):
-        out.append(Q(fact_n, factorial(j)) * p.coeffs[n])
-        if j < n:
-            p = p * L
-    return Poly(out, n)
 
 
 def narayana_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
     """Numerator polynomial of diagonal n of the exponential array (b, x*a).
 
-    Computed by lifting the Sheffer row through the order-2n Euler
-    connection matrix; verified against (1-x)^(2n+1) times the truncated
-    diagonal generating function.
+    Computed by lifting row n of the Sheffer array (b, log a) through the
+    order-2n Euler connection matrix; verified against (1-x)^(2n+1) times
+    row n of the square array (b, a) weighted by (m+n)!/m!.
     """
-    _check_square_pair(b, a)
+    _check_square_pair(b, a, n)
     if min(b.order, a.order) < 2 * (2 * n + 1):
         raise RangeError("series order must be at least 2(2n+1)")
-    s = _sheffer_log_row(b, a, n)
+    s = RiordanArray(b.truncate(n), a.truncate(n).log(), EXPONENTIAL).sheffer_row(n)
     lifted = (exact.rising_from(1, n) * s).with_bound(2 * n)
     hu = core_matrix("U", 2 * n).apply(lifted)
     for k in range(n + 1, 2 * n + 1):
         if hu.coeff(k) != 0:
             raise ConsistencyError("numerator degree exceeds n at coefficient %d" % k)
     h = (Q(factorial(2 * n), factorial(n)) * Poly(hu.coeffs[: n + 1], n)).with_bound(n)
-
-    t = []
-    p = b.truncate(n)
-    at = a.truncate(n)
-    for m in range(2 * n + 2):
-        t.append(Q(factorial(m + n), factorial(m)) * p.coeffs[n])
-        if m < 2 * n + 1:
-            p = p * at
-    product = Poly(t, 2 * n + 1) * _ONE_MINUS_X ** (2 * n + 1)
-    for k in range(n + 1):
-        if product.coeff(k) != h.coeff(k):
-            raise ConsistencyError("numerator routes disagree at coefficient %d" % k)
-    for k in range(n + 1, 2 * n + 2):
-        if product.coeff(k) != 0:
-            raise ConsistencyError(
-                "nonzero residual at coefficient %d; is a(0) = 1 and the order big enough?" % k)
+    t = [Q(factorial(m + n), factorial(m)) * w for m, w in enumerate(_square_row(b, a, n))]
+    _check_residual(t, 2 * n + 1, h, n)
     return NumeratorResult(h, n + 1)
 
 
@@ -345,8 +315,8 @@ def W_matrix(n: int, m: int) -> FinMatrix:
     connection matrices must agree with the strided window of
     ((1-x^m)/(1-x))^(n+1); a mismatch raises ConsistencyError.
     """
-    if n < 1 or m < 1:
-        raise DomainError("W needs n >= 1 and m >= 1")
+    if not (isinstance(n, int) and isinstance(m, int)) or n < 1 or m < 1:
+        raise DomainError("W needs integers n >= 1 and m >= 1")
     dil = FinMatrix.diag([Q(m) ** (j + 1) for j in range(n)])
     conj = tilde_matrix("Ut", n) * dil * tilde_matrix("Utinv", n)
     window = Poly([1] * m) ** (n + 1)
@@ -405,7 +375,7 @@ def phi_gf_check(a: Series, order_x: int) -> bool:
     inversion gives (1-t)^(2k+1) [x^(k+1)] x*b =
     (1/(k+1)) sum_{m<=k} C(k+m, m) t^m (1-t)^(k-m) [x^k] (a-1)^m.
     Both sides are therefore compared at order_x + 1 points t0 != 1, each
-    by one Series reversion (which cross-checks itself).
+    by one Series reversion (which checks itself).
     """
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")

@@ -751,14 +751,8 @@ def _chk_ex21(ctx):
     a = (Series.from_poly([1, 1], order) / Series.from_poly([1, -1], order))
     half_plus_x = Poly([Q(1, 2), 1])
     for n in range(1, top + 1):
-        v = []
-        p = Series.one(n)
-        am1 = a.truncate(n) - 1
-        for m in range(n + 1):
-            v.append(p.coeffs[n])
-            if m < n:
-                p = p * am1
-        _neq(fails, "v_%d" % n, Poly(v, n),
+        v = RiordanArray(Series.one(n), a.truncate(n) - 1).row_poly(n)
+        _neq(fails, "v_%d" % n, v,
              Q(2) ** n * Poly([0, 1]) * half_plus_x ** (n - 1))
         alpha = alpha_poly(a, n)
         _neq(fails, "alpha_%d" % n, alpha,

@@ -217,6 +217,17 @@ def test_negative_sizes_are_usage_errors(capsys, argv):
     assert "must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["G", "H"])
+@pytest.mark.parametrize("beta", ["1/0", "abc"])
+def test_bad_beta_is_usage_error(capsys, kind, beta):
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", kind, "--n", "2", "--beta", beta])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("argument --beta: not a rational: %r" % beta)
+    assert "Traceback" not in err
+
+
 def test_consistency_error_is_one_line(capsys, monkeypatch):
     import riordan.cli as cli
 

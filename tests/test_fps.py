@@ -5,7 +5,8 @@ from math import factorial
 import pytest
 
 from riordan import exact
-from riordan.fps import DomainError, Poly, RangeError, Series, _convolve, xdlog
+from riordan.fps import (ConsistencyError, DomainError, Poly, RangeError, Series,
+                         _convolve, xdlog)
 
 
 def rand_series(rng, order, first=None):
@@ -97,6 +98,46 @@ def test_reversion_round_trip_random():
         r = g.reversion()
         assert g.compose(r) == Series.x(10)
         assert r.compose(g) == Series.x(10)
+
+
+def reversion_by_coefficients(g):
+    """Reference reversion: solve g(h) = x for h one coefficient at a time,
+    [x^k] g(h) = g1*h_k + (terms in h_1..h_(k-1)) = 0 for k >= 2."""
+    n, g1 = g.order, g.coeffs[1]
+    h = [Q(0), 1 / g1]
+    for k in range(2, n + 1):
+        value = g.truncate(k).compose(Series(h + [Q(0)], k)).coeffs[k]
+        h.append(-value / g1)
+    return Series(h, n)
+
+
+def test_reversion_matches_coefficient_solver():
+    rng = random.Random(41)
+    for order in range(1, 41):
+        linear = Q(rng.choice([1, -1, 2, -3]), rng.randint(1, 3))
+        dense = [Q(0), linear] + [Q(rng.randint(-3, 3), rng.randint(1, 3))
+                                  for _ in range(order - 1)]
+        sparse = [Q(0), Q(1)] + [Q(rng.choice([-1, 1]), rng.randint(1, 2))
+                                 if rng.random() < 0.2 else Q(0)
+                                 for _ in range(order - 1)]
+        for coeffs in (dense, sparse):
+            g = Series(coeffs, order)
+            assert g.reversion().coeffs == reversion_by_coefficients(g).coeffs
+
+
+def test_reversion_rejects_a_corrupted_lagrange_route(monkeypatch):
+    real_inverse = Series.inverse
+
+    def off_by_one(self):
+        out = real_inverse(self)
+        return Series(out.coeffs[:2] + [out.coeffs[2] + 1] + out.coeffs[3:], out.order)
+
+    g = Series.from_poly([0, 1, -1], 8)
+    monkeypatch.setattr(Series, "inverse", off_by_one)
+    with pytest.raises(ConsistencyError):
+        g.reversion()
+    monkeypatch.setattr(Series, "inverse", real_inverse)
+    assert g.reversion() == Series([0, 1, 1, 2, 5, 14, 42, 132, 429], 8)
 
 
 def test_reversion_needs_unit_linear_term():

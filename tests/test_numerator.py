@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from riordan import exact, numerator, verify
+from riordan import arrays, exact, numerator, verify
 from riordan.cli import CORE_KINDS, EXP_KINDS, TILDE_KINDS
 from riordan.fps import ConsistencyError, DomainError, Poly, RangeError, Series
 from riordan.genlagrange import gen_binomial_series
@@ -46,6 +46,62 @@ def test_euler_numerator_preconditions():
         euler_numerator(Series.zero(12), geo(12), 2)
     with pytest.raises(RangeError):
         euler_numerator(Series.one(5), geo(5), 2)
+
+
+@pytest.mark.parametrize("call, args", [
+    (euler_numerator, (geo(16), geo(16), -1)),
+    (euler_numerator, (geo(16), geo(16), 2.0)),
+    (euler_numerator, (Series.one(3), geo(3), 2.0)),  # before the RangeError
+    (narayana_numerator, (geo(16), geo(16), -1)),
+    (narayana_numerator, (geo(16), geo(16), 2.0)),
+    (alpha_poly, (geo(16), 2.0)),
+    (phi_poly, (geo(16), 2.0)),
+    (W_matrix, (2.0, 2)),
+    (W_matrix, (2, 2.0)),
+])
+def test_bad_n_is_domain_error(call, args):
+    with pytest.raises(DomainError):
+        call(*args)
+
+
+def _perturbed_slice(real, flavor):
+    """``real`` (a row method) with entry 1 off by one for arrays of ``flavor``."""
+    def wrong(self, n):
+        got = real(self, n)
+        if self.flavor != flavor:
+            return got
+        entries = list(got.entries)
+        entries[1] += 1
+        return arrays.TriangleSlice(tuple(entries), got.kind, got.index)
+    return wrong
+
+
+def test_euler_numerator_catches_one_wrong_route(monkeypatch):
+    one_plus_x = Series.from_poly([1, 1], 12)
+    want = euler_numerator(one_plus_x, geo(12), 3)
+    for flavor in (arrays.ORDINARY, arrays.SQUARE):  # the (b, a-1) row, the residual
+        with monkeypatch.context() as m:
+            m.setattr(arrays.RiordanArray, "row",
+                      _perturbed_slice(arrays.RiordanArray.row, flavor))
+            with pytest.raises(ConsistencyError):
+                euler_numerator(one_plus_x, geo(12), 3)
+    assert euler_numerator(one_plus_x, geo(12), 3) == want
+
+
+def test_narayana_numerator_catches_one_wrong_route(monkeypatch):
+    real_sheffer = arrays.RiordanArray.sheffer_row
+    want = narayana_numerator(Series.one(14), geo(14), 3)
+    with monkeypatch.context() as m:  # the Sheffer row lifted through U
+        m.setattr(arrays.RiordanArray, "sheffer_row",
+                  lambda self, n: real_sheffer(self, n) + Poly.monomial(1))
+        with pytest.raises(ConsistencyError):
+            narayana_numerator(Series.one(14), geo(14), 3)
+    with monkeypatch.context() as m:  # the residual from the square row
+        m.setattr(arrays.RiordanArray, "row",
+                  _perturbed_slice(arrays.RiordanArray.row, arrays.SQUARE))
+        with pytest.raises(ConsistencyError):
+            narayana_numerator(Series.one(14), geo(14), 3)
+    assert narayana_numerator(Series.one(14), geo(14), 3) == want
 
 
 def test_narayana_numerator_examples():
