@@ -86,6 +86,8 @@ class RiordanArray:
 
     def row(self, n: int) -> TriangleSlice:
         """Row n: length n+1 for triangular flavors, order+1 for square."""
+        if not isinstance(n, int) or n < 0:
+            raise DomainError("row index must be a nonnegative integer, got %r" % (n,))
         if n > self.order:
             raise RangeError("row %d beyond order %d" % (n, self.order))
         top = n if self.flavor != SQUARE else self.order

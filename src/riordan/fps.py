@@ -28,6 +28,16 @@ was negative, recovers it digit by digit.  Dividing each digit by the
 product of the two lcm denominators gives the rational coefficient.
 The cost follows the packed size, so it grows with the lcm of an
 operand's denominators rather than with each coefficient's own height.
+
+Where the library computes one value by two routes, :func:`agree` holds
+the two results against each other.  It uses the values' own ``==`` and,
+when they differ, raises ConsistencyError with one line
+``"<route> (n=..., beta=...): <first difference>"``.  The difference
+names the coefficient index of a Poly or Series, the (i, j) entry or the
+shape of a FinMatrix, the index or length of a list, with both values
+there, e.g. ``"Sinv: product against closed form (n=3): entry (0, 0):
+got 1/6, want 1/3"``.  The verification battery words its failures with
+the same comparison.
 """
 
 from __future__ import annotations
@@ -49,6 +59,56 @@ class RangeError(IndexError):
 
 class ConsistencyError(ArithmeticError):
     """Two independent computation routes disagree."""
+
+
+def _mismatch(got, want):
+    """None when ``got == want`` (by the operands' own ``==``); otherwise
+    one line naming the first place the two differ, with both values there.
+
+    Poly and Series give the coefficient index, FinMatrix the (i, j) entry
+    or the shape, lists and tuples the index or the length, and anything
+    else the two values.
+    """
+    if got == want:
+        return None
+    from .matrix import FinMatrix  # matrix imports this module
+
+    kind = type(got) if type(got) is type(want) else None
+    if kind in (Poly, Series):
+        # Poly pads the shorter side with zeros; Series compares the common
+        # prefix, so its first difference lies inside both.
+        n = max(len(got.coeffs), len(want.coeffs))
+        a = got.coeffs + [_ZERO] * (n - len(got.coeffs))
+        b = want.coeffs + [_ZERO] * (n - len(want.coeffs))
+        k = next(k for k in range(n) if a[k] != b[k])
+        return "coefficient %d: got %s, want %s" % (k, a[k], b[k])
+    if kind is FinMatrix:
+        if (got.n_rows, got.n_cols) != (want.n_rows, want.n_cols):
+            return "shape %dx%d, want %dx%d" % (got.n_rows, got.n_cols,
+                                                want.n_rows, want.n_cols)
+        i, j = next((i, j) for i in range(got.n_rows) for j in range(got.n_cols)
+                    if got.data[i][j] != want.data[i][j])
+        return "entry (%d, %d): got %s, want %s" % (i, j, got.data[i][j], want.data[i][j])
+    if kind in (list, tuple):
+        for k, (x, y) in enumerate(zip(got, want)):
+            if x != y:
+                return "index %d: %s" % (k, _mismatch(x, y))
+        return "length %d, want %d" % (len(got), len(want))
+    return "got %s, want %s" % (got, want)
+
+
+def agree(route: str, got, want, **params) -> None:
+    """The one check that two routes to a value agree.
+
+    Returns when ``got == want``; otherwise raises ConsistencyError with
+    the message ``"<route> (n=..., beta=...): <first difference>"``, the
+    parameters in the order given and the difference as
+    :func:`_mismatch` words it.
+    """
+    diff = _mismatch(got, want)
+    if diff is not None:
+        where = ", ".join("%s=%s" % kv for kv in params.items())
+        raise ConsistencyError("%s (%s): %s" % (route, where, diff))
 
 
 class PoleError(DomainError):
@@ -148,9 +208,6 @@ class Poly:
             if self.coeffs[k] != 0:
                 return k
         return 0
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def with_bound(self, bound: int) -> "Poly":
         return Poly(self.coeffs, bound)
@@ -334,14 +391,6 @@ class Series:
             raise RangeError("cannot extend a truncated series")
         return Series(self.coeffs[: order + 1], order)
 
-    def poly_part(self, bound=None) -> Poly:
-        """The materialized coefficients as an exact polynomial."""
-        if bound is None:
-            bound = self.order
-        if bound > self.order:
-            raise RangeError("bound beyond truncation order")
-        return Poly(self.coeffs[: bound + 1], bound)
-
     def __eq__(self, other):
         """Coefficient-wise equality up to the smaller order."""
         if isinstance(other, _SCALARS):
@@ -451,8 +500,9 @@ class Series:
         The check settles the result: with g1 the linear coefficient of
         self, coefficient k of self(h) is g1*h_k plus a polynomial in
         h_1..h_(k-1), so with g1 != 0 exactly one h with zero constant
-        term satisfies self(h) = x through order n.  A rev that passes is therefore the reversion; one that
-        does not raises ConsistencyError.
+        term satisfies self(h) = x through order n.  A rev that passes is
+        therefore the reversion; for one that does not, :func:`agree`
+        raises ConsistencyError.
         """
         n = self.order
         if n < 1 or self.coeffs[0] != 0:
@@ -466,8 +516,7 @@ class Series:
             power = power * v
             out.append(power.coeffs[m - 1] / m)
         rev = Series(out, n)
-        if self.compose(rev) != Series.x(n):
-            raise ConsistencyError("reversion fails self(rev) = x through order %d" % n)
+        agree("reversion: self(rev) against x", self.compose(rev), Series.x(n), n=n)
         return rev
 
     # -- transcendental-style operations -------------------------------

@@ -9,6 +9,13 @@ have the closed product form implemented in :func:`gen_binomial_series`.
 The matrix families G, H, A, T conjugate an exact rational argument
 shift by the connection matrices; each is also computed from its closed
 form, and the two must agree.
+
+Each such pair, and the Lagrange series' checks against its fixed point
+and its row formula, goes through ``fps.agree``, which raises
+ConsistencyError naming the route, the parameters and the first
+coefficient or entry that differs, with both values, e.g. ``"u
+transform: row polynomial u(0) against 0 (n=1, beta=1): got 1, want
+0"``.
 """
 
 from __future__ import annotations
@@ -18,8 +25,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import exact
-from .fps import (ConsistencyError, DomainError, PoleError, Poly, Q,
-                  RangeError, Series, _q)
+from .fps import DomainError, PoleError, Poly, Q, RangeError, Series, _q, agree
 from .matrix import FinMatrix
 from .numerator import core_matrix, exp_matrix, shift_matrix, tilde_matrix
 
@@ -65,8 +71,9 @@ def gen_lagrange_series(a: Series, beta, order: int) -> Series:
     """The solution of  lag = a(x * lag^beta), truncated at ``order``.
 
     Computed by reverting x*a^(-beta); the result is verified against
-    the Sheffer-row coefficient formula and the fixed-point identity,
-    so a silent failure of either route raises ConsistencyError.
+    the fixed-point identity and the Sheffer-row coefficient formula,
+    each through :func:`agree`, so a silent failure of either route
+    raises ConsistencyError.
     """
     beta = _q(beta)
     if a.coeffs[0] != 1:
@@ -77,13 +84,14 @@ def gen_lagrange_series(a: Series, beta, order: int) -> Series:
         return a.truncate(order)
     h = a.pow(-beta).mul_x().reversion()
     lag = a.compose(h).truncate(order)
-    if lag.pow(beta) != h.div_x():
-        raise ConsistencyError("fixed point of the generalized Lagrange series fails")
+    agree("generalized Lagrange series: lag^beta against the reversion / x",
+          lag.pow(beta), h.div_x(), order=order, beta=beta)
     us = u_polys(a, order)
-    for k in range(1, order + 1):
-        ut = us[k].divexact(_X)
-        if lag.coeffs[k] != ut.eval(1 + beta * k) / factorial(k):
-            raise ConsistencyError("coefficient %d disagrees with the row formula" % k)
+    # coefficient 0 is lag(0) = a(0) = 1; the row formula gives the rest
+    formula = Series([Q(1)] + [us[k].divexact(_X).eval(1 + beta * k) / factorial(k)
+                               for k in range(1, order + 1)], order)
+    agree("generalized Lagrange series: reversion against the row formula",
+          lag, formula, order=order, beta=beta)
     return lag
 
 
@@ -194,16 +202,15 @@ def beta_matrix(kind: str, n: int, beta=None) -> FinMatrix:
     """The conjugated-shift families G, H, A, T and the nilpotent X.
 
     Every kind is produced both by conjugating the rational argument
-    shift and from its closed form; disagreement raises
-    ConsistencyError.  X takes no beta.
+    shift and from its closed form, held against each other by
+    :func:`agree`.  X takes no beta.
     """
     if n < 1:
         raise DomainError("beta matrices need n >= 1")
     if kind == "X":
         conj = core_matrix("Vinv", n) * _down_shift(n + 1) * core_matrix("V", n)
         closed = _x_closed(n)
-        if conj != closed:
-            raise ConsistencyError("the two routes to X disagree")
+        agree("X: conjugated down-shift against closed form", conj, closed, n=n)
         return closed
     if beta is None:
         raise DomainError("kind %r needs a beta parameter" % (kind,))
@@ -223,8 +230,7 @@ def beta_matrix(kind: str, n: int, beta=None) -> FinMatrix:
         closed = _t_closed(n, beta)
     else:
         raise DomainError("unknown beta matrix kind %r" % (kind,))
-    if conj != closed:
-        raise ConsistencyError("the two routes to %s disagree" % kind)
+    agree("%s: conjugated shift against closed form" % kind, conj, closed, n=n, beta=beta)
     return closed
 
 
@@ -234,17 +240,14 @@ def _down_shift(size: int) -> FinMatrix:
 
 
 def beta_u_transform(u: Poly, n: int, beta) -> Poly:
-    """x/(x + n*beta) * u(x + n*beta), exact; u(0) = 0 guarantees
-    divisibility for n >= 1."""
+    """x/(x + n*beta) * u(x + n*beta), exact.  With n*beta != 0 the
+    division is exact just when u(0) = 0, which :func:`agree` demands."""
     beta = _q(beta)
     nb = n * beta
     if nb == 0:
         return Poly(u.coeffs, u.bound)
-    shifted = u.shift(nb)
-    try:
-        return (shifted * _X).divexact(Poly([nb, 1]))
-    except DomainError as err:
-        raise ConsistencyError("malformed row polynomial: %s" % err) from err
+    agree("u transform: row polynomial u(0) against 0", u.coeff(0), Q(0), n=n, beta=beta)
+    return (u.shift(nb) * _X).divexact(Poly([nb, 1]))
 
 
 def beta_q_transform(q: Series, n: int, beta) -> Series:

@@ -149,9 +149,6 @@ class FinMatrix:
                 base = base * base
         return out
 
-    def transpose(self) -> "FinMatrix":
-        return FinMatrix([list(col) for col in zip(*self.data)])
-
     def inverse(self) -> "FinMatrix":
         """Gauss-Jordan elimination over Q."""
         if not self.is_square():

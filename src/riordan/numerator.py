@@ -5,6 +5,13 @@ for a polynomial g_n of degree <= n; the exponential analog has
 denominator (1-x)^(2n+1) and numerator h_n.  Both extractions verify a
 window of higher coefficients is exactly zero before returning.
 
+Every self-check here (that window, the degree of h_n, the two routes to
+S, Sinv and W, the strips of Ft and St) goes through ``fps.agree``.  On
+a mismatch its ConsistencyError names the route, n (and m for W) and the
+first coefficient, entry or index that differs, with both values, e.g.
+``"Sinv: product against closed form (n=3): entry (0, 0): got 1/6, want
+1/3"``.
+
 The matrix constructors reproduce the operator families that transport
 these numerators: U, V, J, argument shifts, F, S, C, their order-n
 "tilde" companions acting on numerators with the leading x removed, the
@@ -33,8 +40,7 @@ from math import comb, factorial
 
 from . import exact
 from .arrays import EXPONENTIAL, SQUARE, RiordanArray
-from .fps import (ConsistencyError, DomainError, Poly, Q, RangeError, Series,
-                  _q)
+from .fps import DomainError, Poly, Q, RangeError, Series, _q, agree
 from .matrix import FinMatrix
 
 _ONE_MINUS_X = Poly([1, -1])
@@ -60,13 +66,9 @@ def _check_residual(t, power: int, g: Poly, n: int):
     """Multiply the diagonal terms t (x^0..x^(2n+1)) by (1-x)^power and
     demand the product equal g through x^n and vanish through x^(2n+1)."""
     product = Poly(t, 2 * n + 1) * _ONE_MINUS_X ** power
-    for k in range(n + 1):
-        if product.coeff(k) != g.coeff(k):
-            raise ConsistencyError("numerator routes disagree at coefficient %d" % k)
-    for k in range(n + 1, 2 * n + 2):
-        if product.coeff(k) != 0:
-            raise ConsistencyError(
-                "nonzero residual at coefficient %d; is a(0) = 1 and the order big enough?" % k)
+    agree("numerator against the (1-x)^%d residual window"
+          " (is a(0) = 1 and the order big enough?)" % power,
+          Poly(product.coeffs[: 2 * n + 2]), g, n=n)
 
 
 def _square_row(b: Series, a: Series, n: int) -> tuple:
@@ -104,10 +106,10 @@ def narayana_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
     s = RiordanArray(b.truncate(n), a.truncate(n).log(), EXPONENTIAL).sheffer_row(n)
     lifted = (exact.rising_from(1, n) * s).with_bound(2 * n)
     hu = core_matrix("U", 2 * n).apply(lifted)
-    for k in range(n + 1, 2 * n + 1):
-        if hu.coeff(k) != 0:
-            raise ConsistencyError("numerator degree exceeds n at coefficient %d" % k)
-    h = (Q(factorial(2 * n), factorial(n)) * Poly(hu.coeffs[: n + 1], n)).with_bound(n)
+    low = Poly(hu.coeffs[: n + 1], n)
+    agree("Narayana numerator: lifted Sheffer row against its degree <= n part",
+          hu, low, n=n)
+    h = (Q(factorial(2 * n), factorial(n)) * low).with_bound(n)
     t = [Q(factorial(m + n), factorial(m)) * w for m, w in enumerate(_square_row(b, a, n))]
     _check_residual(t, 2 * n + 1, h, n)
     return NumeratorResult(h, n + 1)
@@ -213,7 +215,7 @@ def exp_matrix(kind: str, n: int) -> FinMatrix:
     """The exponential-side families F, Finv, S, Sinv and the diagonal C.
 
     S and Sinv come out of both their product definition and their
-    closed forms; a mismatch raises ConsistencyError.
+    closed forms, held against each other by :func:`agree`.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("exponential-family matrices need an integer n >= 1")
@@ -235,8 +237,7 @@ def exp_matrix(kind: str, n: int) -> FinMatrix:
             cols.append(Poly([scale * comb(n, m - p) * comb(n, n - m) if m >= p else Q(0)
                               for m in range(size)], n))
         closed = FinMatrix.from_columns(cols, size)
-        if product != closed:
-            raise ConsistencyError("the two routes to S disagree")
+        agree("S: product against closed form", product, closed, n=n)
         return closed
     if kind == "Sinv":
         product = core_matrix("U", n) * exp_matrix("Finv", n)
@@ -246,15 +247,16 @@ def exp_matrix(kind: str, n: int) -> FinMatrix:
             cols.append(Poly([scale * exact.binom(-n, m - p) * comb(2 * n, n - m)
                               if m >= p else Q(0) for m in range(size)], n))
         closed = FinMatrix.from_columns(cols, size)
-        if product != closed:
-            raise ConsistencyError("the two routes to Sinv disagree")
+        agree("Sinv: product against closed form", product, closed, n=n)
         return closed
     raise DomainError("unknown exponential matrix kind %r" % (kind,))
 
 
-def _strip(m: FinMatrix, what: str) -> FinMatrix:
-    if any(v != 0 for v in m.row(0)[1:]):
-        raise ConsistencyError("%s does not strip cleanly" % what)
+def _strip(m: FinMatrix, what: str, n: int) -> FinMatrix:
+    """The minor of m, whose first row must vanish past its first entry."""
+    row = m.row(0)
+    agree("%s: first row against a clean strip" % what,
+          row, row[:1] + [Q(0)] * (len(row) - 1), n=n)
     return m.minor()
 
 
@@ -278,14 +280,14 @@ def tilde_matrix(kind: str, n: int) -> FinMatrix:
     if kind == "Jt":
         return core_matrix("J", n - 1)
     if kind == "Ft":
-        return _strip(exp_matrix("F", n), "F")
+        return _strip(exp_matrix("F", n), "F", n)
     if kind == "Ftinv":
         scale = Q(factorial(n), factorial(2 * n))
         cols = [scale * exact.falling_from(-1, p) * exact.rising_from(n + 1, n - p - 1)
                 for p in range(n)]
         return FinMatrix.from_columns(cols, n)
     if kind == "St":
-        return _strip(exp_matrix("S", n), "S")
+        return _strip(exp_matrix("S", n), "S", n)
     if kind == "Ct":
         return FinMatrix.diag([Q(factorial(n + p + 1), factorial(p + 1)) for p in range(n)])
     if kind == "Dt":
@@ -296,8 +298,8 @@ def tilde_matrix(kind: str, n: int) -> FinMatrix:
 def strided_matrix(a: Series, m: int, rows: int) -> FinMatrix:
     """Square window of the stride-m row re-reading of (a, x): row p holds
     coefficients m*p+m-1, m*p+m-2, ... with zeros below index 0."""
-    if m < 1 or rows < 1:
-        raise DomainError("stride and row count must be positive")
+    if not (isinstance(m, int) and isinstance(rows, int)) or m < 1 or rows < 1:
+        raise DomainError("stride and row count must be positive integers")
     if a.order < m * rows + m:
         raise RangeError("series order must be at least m*rows + m")
     data = []
@@ -313,7 +315,7 @@ def W_matrix(n: int, m: int) -> FinMatrix:
 
     Conjugation of the dilation c(x) -> m*c(m*x) by the order-n tilde
     connection matrices must agree with the strided window of
-    ((1-x^m)/(1-x))^(n+1); a mismatch raises ConsistencyError.
+    ((1-x^m)/(1-x))^(n+1), held against it by :func:`agree`.
     """
     if not (isinstance(n, int) and isinstance(m, int)) or n < 1 or m < 1:
         raise DomainError("W needs integers n >= 1 and m >= 1")
@@ -321,8 +323,7 @@ def W_matrix(n: int, m: int) -> FinMatrix:
     conj = tilde_matrix("Ut", n) * dil * tilde_matrix("Utinv", n)
     window = Poly([1] * m) ** (n + 1)
     strided = strided_matrix(window.to_series(m * n + m), m, n)
-    if conj != strided:
-        raise ConsistencyError("the two routes to W disagree")
+    agree("W: conjugated dilation against strided window", conj, strided, n=n, m=m)
     return conj
 
 
@@ -352,8 +353,8 @@ def alpha_gf_check(a: Series, order_x: int) -> bool:
     """
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")
-    if order_x < 0:
-        raise DomainError("order_x must be nonnegative")
+    if not isinstance(order_x, int) or order_x < 0:
+        raise DomainError("order_x must be a nonnegative integer, got %r" % (order_x,))
     if a.order < 2 * order_x + 2:
         raise RangeError("series order must be at least 2*order_x + 2")
     alphas = [alpha_poly(a, k) for k in range(order_x + 1)]
@@ -379,8 +380,8 @@ def phi_gf_check(a: Series, order_x: int) -> bool:
     """
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")
-    if order_x < 0:
-        raise DomainError("order_x must be nonnegative")
+    if not isinstance(order_x, int) or order_x < 0:
+        raise DomainError("order_x must be a nonnegative integer, got %r" % (order_x,))
     if a.order < 2 * (2 * order_x + 1):
         raise RangeError("series order must be at least 2(2*order_x + 1)")
     phis = [phi_poly(a, k) for k in range(order_x + 1)]

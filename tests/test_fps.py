@@ -6,7 +6,8 @@ import pytest
 
 from riordan import exact
 from riordan.fps import (ConsistencyError, DomainError, Poly, RangeError, Series,
-                         _convolve, xdlog)
+                         _convolve, _mismatch, xdlog)
+from riordan.matrix import FinMatrix
 
 
 def rand_series(rng, order, first=None):
@@ -134,8 +135,11 @@ def test_reversion_rejects_a_corrupted_lagrange_route(monkeypatch):
 
     g = Series.from_poly([0, 1, -1], 8)
     monkeypatch.setattr(Series, "inverse", off_by_one)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as err:
         g.reversion()
+    # rev_3 comes out 3 instead of 2, so g(rev) = rev - rev^2 gains x^3
+    assert str(err.value) == ("reversion: self(rev) against x (n=8): "
+                              "coefficient 3: got 1, want 0")
     monkeypatch.setattr(Series, "inverse", real_inverse)
     assert g.reversion() == Series([0, 1, 1, 2, 5, 14, 42, 132, 429], 8)
 
@@ -282,7 +286,26 @@ def test_poly_series_round_trip():
     p = Poly([1, 0, Q(5, 3)])
     s = p.to_series(6)
     assert s.coeffs == [Q(1), Q(0), Q(5, 3), Q(0), Q(0), Q(0), Q(0)]
-    assert s.poly_part(2) == p
+
+
+# -- the first-difference wording of a failed comparison ---------------------
+
+def test_mismatch_keeps_each_type_equality():
+    assert _mismatch(Poly([1, 2], 1), Poly([1, 2, 0, 0], 3)) is None  # bounds differ
+    assert _mismatch(Series([1, 2, 3]), Series([1, 2])) is None  # truncating ==
+    assert _mismatch([Q(1), Q(2)], [1, 2]) is None
+
+
+def test_mismatch_names_the_first_difference():
+    assert _mismatch(Poly([1, 2], 1), Poly([1, 2, 3])) == "coefficient 2: got 0, want 3"
+    assert _mismatch(Series([1, 2, 5]), Series([1, 3])) == "coefficient 1: got 2, want 3"
+    assert (_mismatch(FinMatrix([[1, 2], [3, 4]]), FinMatrix([[1, 2], [3, Q(9, 2)]]))
+            == "entry (1, 1): got 4, want 9/2")
+    assert (_mismatch(FinMatrix([[1, 2]]), FinMatrix([[1], [2]]))
+            == "shape 1x2, want 2x1")
+    assert _mismatch([1, 2], [1, 3]) == "index 1: got 2, want 3"
+    assert _mismatch((1, 2), (1, 2, 3)) == "length 2, want 3"
+    assert _mismatch(Q(1, 2), 3) == "got 1/2, want 3"
 
 
 # -- product kernel against the schoolbook reference ------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from riordan import verify
 from riordan.fps import ConsistencyError, DomainError, PoleError, Poly, Series
 from riordan.genlagrange import (beta_alpha_closed, beta_matrix,
                                  beta_phi_closed, beta_q_transform,
@@ -141,8 +142,27 @@ def test_beta_u_transform():
     assert beta_u_transform(Poly([0, 0, 1], 2), 2, 1) == Poly([0, 2, 1])
     p = Poly([0, 5, -2, 1], 3)
     assert beta_u_transform(p, 3, 0) == p
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError,
+                       match=r"^u transform: .* \(n=1, beta=1\): got 1, want 0$"):
         beta_u_transform(Poly([1, 1], 1), 1, 1)  # nonzero constant term
+
+
+def test_reflection_check_names_the_wrong_entry(monkeypatch):
+    def wrong(kind, n, beta=None):  # G_1 at beta = 2 with entry (1, 0) off by one
+        m = beta_matrix(kind, n, beta)
+        if (kind, n, beta) != ("G", 1, 2):
+            return m
+        rows = [list(row) for row in m.data]
+        rows[1][0] += 1
+        return FinMatrix(rows)
+
+    monkeypatch.setattr(verify, "beta_matrix", wrong)
+    report = verify.run_suite("thm6.1", max_n=2)
+    assert not report.ok
+    v = beta_matrix("G", 1, 2).entry(1, 0)
+    # beta = -2 asks for G_1(2) on the left, and the reflected G_1(-2) is right
+    assert report.results[0].detail.startswith(
+        "n=1 beta=-2: entry (1, 0): got %s, want %s;" % (v + 1, v))
 
 
 def test_beta_u_transform_matches_definition():

@@ -58,6 +58,9 @@ def test_euler_numerator_preconditions():
     (phi_poly, (geo(16), 2.0)),
     (W_matrix, (2.0, 2)),
     (W_matrix, (2, 2.0)),
+    (strided_matrix, (geo(16), 2.0, 2)),
+    (arrays.RiordanArray(geo(8), Series.x(8)).row, (-1,)),
+    (arrays.RiordanArray(geo(8), Series.x(8)).row, (2.0,)),
 ])
 def test_bad_n_is_domain_error(call, args):
     with pytest.raises(DomainError):
@@ -76,14 +79,20 @@ def _perturbed_slice(real, flavor):
     return wrong
 
 
+# the route, n and the first coefficient that differs
+_RESIDUAL = (r"^numerator against the \(1-x\)\^%d residual window .*"
+             r"\(n=%d\): coefficient %d: ")
+
+
 def test_euler_numerator_catches_one_wrong_route(monkeypatch):
     one_plus_x = Series.from_poly([1, 1], 12)
     want = euler_numerator(one_plus_x, geo(12), 3)
-    for flavor in (arrays.ORDINARY, arrays.SQUARE):  # the (b, a-1) row, the residual
+    for flavor, values in ((arrays.ORDINARY, "got 2, want 3"),  # the (b, a-1) row
+                           (arrays.SQUARE, "got 3, want 2")):  # the residual
         with monkeypatch.context() as m:
             m.setattr(arrays.RiordanArray, "row",
                       _perturbed_slice(arrays.RiordanArray.row, flavor))
-            with pytest.raises(ConsistencyError):
+            with pytest.raises(ConsistencyError, match=_RESIDUAL % (4, 3, 1) + values):
                 euler_numerator(one_plus_x, geo(12), 3)
     assert euler_numerator(one_plus_x, geo(12), 3) == want
 
@@ -94,12 +103,14 @@ def test_narayana_numerator_catches_one_wrong_route(monkeypatch):
     with monkeypatch.context() as m:  # the Sheffer row lifted through U
         m.setattr(arrays.RiordanArray, "sheffer_row",
                   lambda self, n: real_sheffer(self, n) + Poly.monomial(1))
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError,
+                           match=_RESIDUAL % (7, 3, 1) + "got 24, want 28"):
             narayana_numerator(Series.one(14), geo(14), 3)
     with monkeypatch.context() as m:  # the residual from the square row
         m.setattr(arrays.RiordanArray, "row",
                   _perturbed_slice(arrays.RiordanArray.row, arrays.SQUARE))
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError,
+                           match=_RESIDUAL % (7, 3, 1) + "got 48, want 24"):
             narayana_numerator(Series.one(14), geo(14), 3)
     assert narayana_numerator(Series.one(14), geo(14), 3) == want
 
@@ -259,8 +270,9 @@ def test_phi_gf_check_geometric():
 
 def test_gf_checks_reject_negative_order():
     for check in (alpha_gf_check, phi_gf_check):
-        with pytest.raises(DomainError):
-            check(geo(16), -1)
+        for bad in (-1, 2.0, Q(1)):
+            with pytest.raises(DomainError):
+                check(geo(16), bad)
 
 
 def _perturbed(real, k, delta):
@@ -376,8 +388,10 @@ def test_memoized_self_check_runs_on_first_build(monkeypatch):
         monkeypatch.setattr(numerator.exact, "binom",
                             lambda phi, k: real_binom(phi, k) + 1)
         for _ in range(2):  # a failed build is not memoized
-            with pytest.raises(ConsistencyError):
+            with pytest.raises(ConsistencyError) as err:
                 exp_matrix("Sinv", 3)
+            assert str(err.value) == ("Sinv: product against closed form (n=3): "
+                                      "entry (0, 0): got 1/6, want 1/3")
         monkeypatch.setattr(numerator.exact, "binom", real_binom)
         assert exp_matrix("Sinv", 3) == exp_matrix("S", 3).inverse()
     finally:
