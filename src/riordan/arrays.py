@@ -25,6 +25,11 @@ COLUMN = "column"
 DIAGONAL = "diagonal"
 
 
+def _check_index(what: str, k) -> None:
+    if not isinstance(k, int) or k < 0:
+        raise DomainError("%s index must be a nonnegative integer, got %r" % (what, k))
+
+
 @dataclass(frozen=True)
 class TriangleSlice:
     entries: tuple
@@ -77,6 +82,8 @@ class RiordanArray:
         return Q(1)
 
     def entry(self, n: int, m: int) -> Fraction:
+        _check_index("row", n)
+        _check_index("column", m)
         if n > self.order:
             raise RangeError("row %d beyond order %d" % (n, self.order))
         if self.flavor != SQUARE and m > n:
@@ -86,8 +93,7 @@ class RiordanArray:
 
     def row(self, n: int) -> TriangleSlice:
         """Row n: length n+1 for triangular flavors, order+1 for square."""
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("row index must be a nonnegative integer, got %r" % (n,))
+        _check_index("row", n)
         if n > self.order:
             raise RangeError("row %d beyond order %d" % (n, self.order))
         top = n if self.flavor != SQUARE else self.order
@@ -106,6 +112,7 @@ class RiordanArray:
 
     def column(self, m: int) -> TriangleSlice:
         """Column m materialized to the array order."""
+        _check_index("column", m)
         if self.flavor != SQUARE and m > self.order:
             raise RangeError("column %d beyond order %d" % (m, self.order))
         p = self.f * self.g.pow(m)
@@ -114,6 +121,7 @@ class RiordanArray:
 
     def diagonal(self, n: int) -> TriangleSlice:
         """Descending diagonal n: entries (n+m, m) for m = 0..order-n."""
+        _check_index("diagonal", n)
         if n > self.order:
             raise RangeError("diagonal %d beyond order %d" % (n, self.order))
         out = []

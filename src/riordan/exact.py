@@ -3,6 +3,13 @@
 Generalized binomial coefficients with a rational upper argument,
 ascending/descending factorials (as numbers and as polynomials),
 signed Stirling numbers, and the classical Eulerian polynomials.
+
+For a rational phi = p/q the falling product phi(phi-1)...(phi-n+1) is
+the integer product of the p - iq over q^n, and the rising one that of
+the p + iq, reduced once rather than n times as n Fraction products
+would be.
+A count that is not an integer, or a negative count where the product
+has no meaning, is a DomainError.
 """
 
 from __future__ import annotations
@@ -13,40 +20,52 @@ from math import comb, factorial
 from .fps import DomainError, Poly, Q, _q
 
 
+def _count(name: str, n) -> int:
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("%s needs an integer n >= 0, got %r" % (name, n))
+    return n
+
+
+def _product(phi: Fraction, n: int, step: int):
+    """phi (phi + step) ... (phi + (n-1) step) for phi = p/q, as the
+    integer product of the p + i step q and its denominator q^n."""
+    p, q = phi.numerator, phi.denominator
+    num = 1
+    for i in range(n):
+        num *= p + i * step * q
+    return num, q ** n
+
+
 def binom(phi, k: int) -> Fraction:
     """Generalized binomial coefficient phi(phi-1)...(phi-k+1)/k!.
 
-    The product form keeps everything exact for rational phi; a
-    negative k yields 0.
+    A rational phi = p/q gives one integer product (p)(p-q)...(p-(k-1)q)
+    over q^k k!, reduced once; a negative k yields 0.
     """
+    if not isinstance(k, int):
+        raise DomainError("binom needs an integer k, got %r" % (k,))
     if k < 0:
         return Q(0)
     phi = _q(phi)
     if phi.denominator == 1 and phi >= 0:
         n = phi.numerator
         return Q(comb(n, k)) if k <= n else Q(0)
-    num = Q(1)
-    for i in range(k):
-        num *= phi - i
-    return num / factorial(k)
+    num, den = _product(phi, k, -1)
+    return Q(num, den * factorial(k))
 
 
 def falling(phi, n: int) -> Fraction:
-    """Descending factorial phi(phi-1)...(phi-n+1); empty product is 1."""
-    phi = _q(phi)
-    out = Q(1)
-    for i in range(n):
-        out *= phi - i
-    return out
+    """Descending factorial phi(phi-1)...(phi-n+1) for n >= 0; the empty
+    product is 1."""
+    num, den = _product(_q(phi), _count("falling", n), -1)
+    return Q(num, den)
 
 
 def rising(phi, n: int) -> Fraction:
-    """Ascending factorial phi(phi+1)...(phi+n-1); empty product is 1."""
-    phi = _q(phi)
-    out = Q(1)
-    for i in range(n):
-        out *= phi + i
-    return out
+    """Ascending factorial phi(phi+1)...(phi+n-1) for n >= 0; the empty
+    product is 1."""
+    num, den = _product(_q(phi), _count("rising", n), 1)
+    return Q(num, den)
 
 
 def falling_from(c, n: int) -> Poly:

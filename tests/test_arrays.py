@@ -5,9 +5,9 @@ from math import comb
 import pytest
 
 from riordan import exact
-from riordan.arrays import (DIAGONAL, EXPONENTIAL, ROW, SQUARE, RiordanArray,
+from riordan.arrays import (COLUMN, DIAGONAL, EXPONENTIAL, ROW, SQUARE, RiordanArray,
                             lagrange_pair, table_row)
-from riordan.fps import DomainError, Poly, Series
+from riordan.fps import DomainError, Poly, RangeError, Series
 from riordan.genlagrange import gen_binomial_series
 
 
@@ -170,6 +170,31 @@ def test_materialize_range_errors():
         p.column(7)
     with pytest.raises(RangeError):
         p.diagonal(7)
+
+
+SLICE_CALLS = {
+    "entry-row": lambda a, k: a.entry(k, 0),
+    "entry-column": lambda a, k: a.entry(2, k),
+    "column": lambda a, k: a.column(k),
+    "diagonal": lambda a, k: a.diagonal(k),
+    "materialize-row": lambda a, k: a.materialize(ROW, k),
+    "materialize-column": lambda a, k: a.materialize(COLUMN, k),
+    "materialize-diagonal": lambda a, k: a.materialize(DIAGONAL, k),
+}
+
+
+@pytest.mark.parametrize("name", SLICE_CALLS)
+def test_bad_slice_index_is_typed(name):
+    a = RiordanArray(Series.geometric(6), Series.x(6))
+    call = SLICE_CALLS[name]
+    for bad in (-1, 2.0):
+        with pytest.raises(DomainError, match="index must be a nonnegative integer"):
+            call(a, bad)
+    if name == "entry-column":
+        assert call(a, 7) == 0  # above the diagonal of a triangular array
+    else:
+        with pytest.raises(RangeError, match="7 beyond order 6"):
+            call(a, 7)
 
 
 def test_lagrange_pair_basics():

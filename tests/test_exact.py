@@ -140,3 +140,31 @@ def test_eulerian_result_is_a_fresh_copy():
     p.coeffs.append(Q(7))
     assert exact.eulerian_poly(5) == _eulerian_by_recurrence(5)
     assert len(exact.eulerian_poly(5).coeffs) == 6
+
+
+def ref_product(phi, n, step):
+    """phi (phi + step) ... (phi + (n-1) step) by n Fraction products."""
+    out = Q(1)
+    for i in range(n):
+        out *= phi + i * step
+    return out
+
+
+def test_product_forms_match_fraction_loops():
+    rng = random.Random(13)
+    dens = [1, 2, 3, 7, 10, 2 ** 61 - 1]
+    for _ in range(60):
+        phi = Q(rng.randint(-40, 40), rng.choice(dens))
+        for k in range(0, 16):
+            assert exact.falling(phi, k) == ref_product(phi, k, -1), (phi, k)
+            assert exact.rising(phi, k) == ref_product(phi, k, 1), (phi, k)
+            assert exact.binom(phi, k) == ref_product(phi, k, -1) / factorial(k), (phi, k)
+
+
+def test_bad_counts_are_domain_errors():
+    for call in (lambda: exact.binom(5, 2.0), lambda: exact.binom(Q(1, 2), 2.0),
+                 lambda: exact.falling(Q(1, 2), 2.0), lambda: exact.falling(Q(1, 2), -1),
+                 lambda: exact.rising(3, -1), lambda: exact.rising(3, Q(2))):
+        with pytest.raises(DomainError):
+            call()
+    assert exact.binom(Q(1, 2), -1) == 0

@@ -393,3 +393,82 @@ def test_convolve_matches_schoolbook_on_unpadded_lists():
     for a, b, n in kernel_cases(24):
         if a and b:
             assert _convolve(a, b, n) == schoolbook(a, b, n), (len(a), len(b), n)
+
+
+# -- inverse, exp and fractional pow against the Fraction-loop references ----------
+
+def ref_inverse(c):
+    """1/c by the Fraction loop the integer recurrence replaced."""
+    out = [1 / c[0]]
+    for k in range(1, len(c)):
+        acc = Q(0)
+        for j in range(1, k + 1):
+            if c[j] != 0:
+                acc += c[j] * out[k - j]
+        out.append(-acc / c[0])
+    return out
+
+
+def ref_exp(c):
+    """exp(c) for c[0] = 0 by the Fraction loop the integer recurrence replaced."""
+    out = [Q(1)]
+    for k in range(1, len(c)):
+        acc = Q(0)
+        for j in range(1, k + 1):
+            if c[j] != 0:
+                acc += j * c[j] * out[k - j]
+        out.append(acc / k)
+    return out
+
+
+def ref_pow(c, e):
+    """c^e for c[0] = 1 through (log c * e).exp(), on the references above."""
+    n = len(c) - 1
+    if n == 0:
+        return [Q(1)]
+    quotient = schoolbook([k * c[k] for k in range(1, n + 1)], ref_inverse(c[:n]), n - 1)
+    log = [Q(0)] + [quotient[k - 1] / k for k in range(1, n + 1)]
+    return ref_exp([e * v for v in log])
+
+
+SERIES_KINDS = ("small", "int", "zero", "sparse", "coprime")
+
+
+def series_tail(rng, length, kind):
+    """Coefficients 1.. of a test series: battery-style, integer-only,
+    all-zero, sparse, or over pairwise-coprime denominators near 2^60
+    (distinct prime powers)."""
+    if kind == "int":
+        return [Q(rng.randint(-9, 9)) for _ in range(length)]
+    if kind == "coprime":
+        return [Q(rng.randint(-2 ** 60, 2 ** 60), p ** (60 // p.bit_length()))
+                for p in rng.sample(PRIMES, length)]
+    return kernel_coeffs(rng, length, kind)
+
+
+def series_cases(seed, first):
+    """(kind, coefficient list) at orders 0..40, every kind at every order
+    (coprime only up to order 10: its cost follows the lcm), with c[0]
+    drawn from ``first``."""
+    rng = random.Random(seed)
+    for order in range(41):
+        for kind in SERIES_KINDS:
+            if kind != "coprime" or order <= 10:
+                yield kind, [Q(rng.choice(first))] + series_tail(rng, order, kind)
+
+
+def test_inverse_matches_fraction_loop():
+    for kind, c in series_cases(31, (1, -1, 2, -3, Q(-3, 2), Q(5, 7), Q(1, 2 ** 61 - 1))):
+        assert Series(c).inverse().coeffs == ref_inverse(c), (kind, len(c), c[0])
+
+
+def test_exp_matches_fraction_loop():
+    for kind, c in series_cases(32, (0,)):
+        assert Series(c).exp().coeffs == ref_exp(c), (kind, len(c))
+
+
+@pytest.mark.parametrize("e", [Q(1, 2), Q(-1, 3), Q(5, 2), Q(3, 7)], ids=str)
+def test_fractional_pow_matches_log_exp(e):
+    for kind, c in series_cases(33, (1,)):
+        if kind != "coprime" or len(c) <= 7:
+            assert Series(c).pow(e).coeffs == ref_pow(c, e), (kind, len(c))
