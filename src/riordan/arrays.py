@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .fps import DomainError, Poly, Q, RangeError, Series, _q, xdlog
+from .fps import DomainError, Poly, Q, RangeError, Series, _count, _q, xdlog
 
 ORDINARY = "ordinary"
 EXPONENTIAL = "exponential"
@@ -23,11 +23,6 @@ SQUARE = "square"
 ROW = "row"
 COLUMN = "column"
 DIAGONAL = "diagonal"
-
-
-def _check_index(what: str, k) -> None:
-    if not isinstance(k, int) or k < 0:
-        raise DomainError("%s index must be a nonnegative integer, got %r" % (what, k))
 
 
 @dataclass(frozen=True)
@@ -82,8 +77,8 @@ class RiordanArray:
         return Q(1)
 
     def entry(self, n: int, m: int) -> Fraction:
-        _check_index("row", n)
-        _check_index("column", m)
+        _count("row index", n)
+        _count("column index", m)
         if n > self.order:
             raise RangeError("row %d beyond order %d" % (n, self.order))
         if self.flavor != SQUARE and m > n:
@@ -93,7 +88,7 @@ class RiordanArray:
 
     def row(self, n: int) -> TriangleSlice:
         """Row n: length n+1 for triangular flavors, order+1 for square."""
-        _check_index("row", n)
+        _count("row index", n)
         if n > self.order:
             raise RangeError("row %d beyond order %d" % (n, self.order))
         top = n if self.flavor != SQUARE else self.order
@@ -112,7 +107,7 @@ class RiordanArray:
 
     def column(self, m: int) -> TriangleSlice:
         """Column m materialized to the array order."""
-        _check_index("column", m)
+        _count("column index", m)
         if self.flavor != SQUARE and m > self.order:
             raise RangeError("column %d beyond order %d" % (m, self.order))
         p = self.f * self.g.pow(m)
@@ -121,7 +116,7 @@ class RiordanArray:
 
     def diagonal(self, n: int) -> TriangleSlice:
         """Descending diagonal n: entries (n+m, m) for m = 0..order-n."""
-        _check_index("diagonal", n)
+        _count("diagonal index", n)
         if n > self.order:
             raise RangeError("diagonal %d beyond order %d" % (n, self.order))
         out = []
@@ -189,6 +184,7 @@ def table_row(b: Series, a: Series, phi, v: int, k: int, order: int) -> Series:
     diagonals, negative v descending ones.
     """
     phi = _q(phi)
+    _count("order", order)
     if a.coeffs[0] != 1:
         raise DomainError("table_row needs a(0) = 1")
     if b.coeffs[0] == 0:

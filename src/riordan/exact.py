@@ -17,13 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .fps import DomainError, Poly, Q, _q
-
-
-def _count(name: str, n) -> int:
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("%s needs an integer n >= 0, got %r" % (name, n))
-    return n
+from .fps import DomainError, Poly, Q, _count, _q
 
 
 def _product(phi: Fraction, n: int, step: int):
@@ -57,33 +51,34 @@ def binom(phi, k: int) -> Fraction:
 def falling(phi, n: int) -> Fraction:
     """Descending factorial phi(phi-1)...(phi-n+1) for n >= 0; the empty
     product is 1."""
-    num, den = _product(_q(phi), _count("falling", n), -1)
+    num, den = _product(_q(phi), _count("falling count", n), -1)
     return Q(num, den)
 
 
 def rising(phi, n: int) -> Fraction:
     """Ascending factorial phi(phi+1)...(phi+n-1) for n >= 0; the empty
     product is 1."""
-    num, den = _product(_q(phi), _count("rising", n), 1)
+    num, den = _product(_q(phi), _count("rising count", n), 1)
     return Q(num, den)
+
+
+def _poly_product(c, n: int, step: int) -> Poly:
+    """(x+c)(x+c+step)...(x+c+(n-1) step) as a polynomial in x."""
+    c = _q(c)
+    out = Poly.one()
+    for i in range(n):
+        out = out * Poly([c + i * step, 1])
+    return out
 
 
 def falling_from(c, n: int) -> Poly:
     """(x+c)(x+c-1)...(x+c-n+1) as a polynomial in x."""
-    c = _q(c)
-    out = Poly.one()
-    for i in range(n):
-        out = out * Poly([c - i, 1])
-    return out
+    return _poly_product(c, _count("falling count", n), -1)
 
 
 def rising_from(c, n: int) -> Poly:
     """(x+c)(x+c+1)...(x+c+n-1) as a polynomial in x."""
-    c = _q(c)
-    out = Poly.one()
-    for i in range(n):
-        out = out * Poly([c + i, 1])
-    return out
+    return _poly_product(c, _count("rising count", n), 1)
 
 
 def falling_poly(n: int) -> Poly:
@@ -98,14 +93,14 @@ def rising_poly(n: int) -> Poly:
 
 def stirling1(n: int, m: int) -> Fraction:
     """Signed Stirling numbers of the first kind: [x^m] (x)_n."""
-    if m > n or m < 0 or n < 0:
+    if _count("stirling1 m", m) > _count("stirling1 n", n):
         raise DomainError("stirling1 needs 0 <= m <= n")
     return falling_poly(n).coeff(m)
 
 
 def stirling2(n: int, m: int) -> Fraction:
     """Stirling numbers of the second kind."""
-    if m > n or m < 0 or n < 0:
+    if _count("stirling2 m", m) > _count("stirling2 n", n):
         raise DomainError("stirling2 needs 0 <= m <= n")
     row = [Q(1)]
     for r in range(1, n + 1):
@@ -125,8 +120,7 @@ _EULERIAN = {0: (Q(1),)}
 
 def eulerian_poly(n: int) -> Poly:
     """Numerator of sum(m^n x^m): 1, x, x+x^2, x+4x^2+x^3, ..."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("eulerian_poly needs an integer n >= 0")
+    _count("eulerian_poly n", n)
     for k in range(len(_EULERIAN) - 1, n):
         c = (Q(0),) + _EULERIAN[k] + (Q(0),)  # c[j + 1] is [x^j] A_k
         # a thread extending the table at the same time stores the same

@@ -159,6 +159,16 @@ def _q(value) -> Fraction:
     raise TypeError("not an exact rational: %r" % (value,))
 
 
+def _count(what: str, n, least: int = 0) -> int:
+    """``n`` itself when it is an int >= ``least`` (0 or 1); otherwise a
+    DomainError naming ``what``.  The one check of an order, a size, an
+    index or a count that arrives from a caller."""
+    if not isinstance(n, int) or n < least:
+        raise DomainError("%s must be a %s integer, got %r"
+                          % (what, ("nonnegative", "positive")[least], n))
+    return n
+
+
 _SCALARS = (int, Fraction)
 
 
@@ -386,9 +396,7 @@ class Poly:
 
     def to_series(self, order: int) -> "Series":
         """Exact embedding: a polynomial determines every coefficient."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if self.degree() > order:
+        if _count("order", order) < self.degree():
             raise DomainError("polynomial degree exceeds requested order")
         return Series([self.coeff(k) for k in range(order + 1)], order)
 
@@ -440,19 +448,19 @@ class Series:
     @classmethod
     def geometric(cls, order: int) -> "Series":
         """1/(1-x)."""
-        return cls([Q(1)] * (order + 1), order)
+        return cls([Q(1)] * (_count("order", order) + 1), order)
 
     # -- basics ------------------------------------------------------
 
     def coeff(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
+        if _count("coefficient index", k) > self.order:
             raise RangeError("coefficient %d beyond truncation order %d" % (k, self.order))
         return self.coeffs[k]
 
     __getitem__ = coeff
 
     def truncate(self, order: int) -> "Series":
-        if order > self.order:
+        if _count("order", order) > self.order:
             raise RangeError("cannot extend a truncated series")
         return Series(self.coeffs[: order + 1], order)
 

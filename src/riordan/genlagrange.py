@@ -8,7 +8,32 @@ have the closed product form implemented in :func:`gen_binomial_series`.
 
 The matrix families G, H, A, T conjugate an exact rational argument
 shift by the connection matrices; each is also computed from its closed
-form, and the two must agree.
+form, and the two must agree.  Every closed form here is built from
+t_poly(n, phi, beta') = sum_m binom(phi, m) binom(beta', n-m) x^m:
+
+- G: column p is t_poly(n, p - n*beta, n*beta + n - p), as printed.
+- H, A and T are one band formula in two integers d and c.  With
+  t_m = t_poly(m, m + c - n*beta, n*beta) (1-x)^(d-m) / C(m+c, m) for
+  m = 0..d, column p is sum(C(d-p, d-m) t_m, m = p..d), where
+
+      kind   d      c
+      H      n      n
+      A      n-1    1
+      T      n-1    n+1
+
+  The sum is the product M B of the matrix M whose column m holds the
+  coefficients of t_m and the band B[m][p] = C(d-p, d-m), which is zero
+  for m < p.  Entry (i, p) of M B is sum(C(d-p, d-m) [x^i] t_m), the
+  coefficient of x^i in column p, and both are exact rational sums, so
+  the product equals the column sums entry for entry; it builds each
+  t_m once instead of once per column.  G is the same formula with
+  (d, c) = (n, 0), but its printed column is faster to build.
+- alpha_n = (1/n) x t_poly(n-1, n(1-beta), n*beta) and
+  phi_n = ((n+1)!/n) x t_poly(n-1, n(2-beta), n*beta) are the
+  numerator polynomials of the family lag = a(x * lag^beta).
+
+X keeps its own closed form: the battery checks G(1/n) = I + X, and an
+X read off G's closed form would make that check hold by construction.
 
 Each such pair, and the Lagrange series' checks against its fixed point
 and its row formula, goes through ``fps.agree``, which raises
@@ -25,7 +50,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import exact
-from .fps import DomainError, PoleError, Poly, Q, RangeError, Series, _q, agree
+from .fps import (DomainError, PoleError, Poly, Q, RangeError, Series, _count, _q,
+                  agree)
 from .matrix import FinMatrix
 from .numerator import core_matrix, exp_matrix, shift_matrix, tilde_matrix
 
@@ -42,7 +68,7 @@ def gen_binomial_series(beta, phi, order: int) -> Series:
     """
     beta, phi = _q(beta), _q(phi)
     out = []
-    for k in range(order + 1):
+    for k in range(_count("order", order) + 1):
         d = phi + beta * k
         if d == 0:
             raise PoleError("phi + beta*n vanishes at n = %d" % k)
@@ -52,6 +78,7 @@ def gen_binomial_series(beta, phi, order: int) -> Series:
 
 def u_polys(a: Series, top: int):
     """Rows 0..top of the exponential array (1, log a) as polynomials."""
+    _count("top", top)
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")
     if a.order < top:
@@ -76,6 +103,7 @@ def gen_lagrange_series(a: Series, beta, order: int) -> Series:
     raises ConsistencyError.
     """
     beta = _q(beta)
+    _count("order", order)
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")
     if a.order < order:
@@ -97,6 +125,8 @@ def gen_lagrange_series(a: Series, beta, order: int) -> Series:
 
 def q_series(a: Series, n: int, order: int) -> Series:
     """Column n of the inverse of the exponential array (1, log a)."""
+    _count("n", n)
+    _count("order", order)
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")
     if a.order < max(order, 1) or order < n:
@@ -119,75 +149,38 @@ class TPoly:
 def t_poly(n: int, phi, beta_arg) -> TPoly:
     """sum over m of binom(phi, m) * binom(beta, n-m) * x^m."""
     phi, beta_arg = _q(phi), _q(beta_arg)
-    coeffs = [exact.binom(phi, m) * exact.binom(beta_arg, n - m) for m in range(n + 1)]
+    coeffs = [exact.binom(phi, m) * exact.binom(beta_arg, n - m)
+              for m in range(_count("n", n) + 1)]
     return TPoly(Poly(coeffs, n), phi, beta_arg, n)
 
 
 def beta_alpha_closed(n: int, beta) -> Poly:
     """(1/n) sum binom(n(1-beta), m-1) binom(n*beta, n-m) x^m, n >= 1."""
-    if n < 1:
-        raise DomainError("needs n >= 1")
+    _count("n", n, 1)
     beta = _q(beta)
-    coeffs = [Q(0)] + [exact.binom(n * (1 - beta), m - 1) * exact.binom(n * beta, n - m)
-                       for m in range(1, n + 1)]
-    return Poly(coeffs, n) * Q(1, n)
+    return _X * t_poly(n - 1, n * (1 - beta), n * beta).poly * Q(1, n)
 
 
 def beta_phi_closed(n: int, beta) -> Poly:
     """((n+1)!/n) sum binom(n(2-beta), m-1) binom(n*beta, n-m) x^m, n >= 1."""
-    if n < 1:
-        raise DomainError("needs n >= 1")
+    _count("n", n, 1)
     beta = _q(beta)
-    coeffs = [Q(0)] + [exact.binom(n * (2 - beta), m - 1) * exact.binom(n * beta, n - m)
-                       for m in range(1, n + 1)]
-    return Poly(coeffs, n) * Q(factorial(n + 1), n)
+    return _X * t_poly(n - 1, n * (2 - beta), n * beta).poly * Q(factorial(n + 1), n)
 
 
-def _g_closed(n: int, beta: Fraction) -> FinMatrix:
-    size = n + 1
-    nb = n * beta
-    cols = []
-    for p in range(size):
-        cols.append(Poly([exact.binom(p - nb, m) * exact.binom(nb + n - p, n - m)
-                          for m in range(size)], n))
-    return FinMatrix.from_columns(cols, size)
+def _g_closed(n: int, nb: Fraction) -> FinMatrix:
+    """Column p is t_poly(n, p - n*beta, n*beta + n - p)."""
+    return FinMatrix.from_columns([t_poly(n, p - nb, nb + n - p).poly
+                                   for p in range(n + 1)], n + 1)
 
 
-def _h_closed(n: int, beta: Fraction) -> FinMatrix:
-    size = n + 1
-    nb = n * beta
-    cols = []
-    for p in range(size):
-        acc = Poly.zero(n)
-        for m in range(p, n + 1):
-            term = t_poly(m, n + m - nb, nb).poly * _ONE_MINUS_X ** (n - m)
-            acc = acc + Q(comb(n - p, n - m), comb(n + m, m)) * term
-        cols.append(acc.with_bound(n))
-    return FinMatrix.from_columns(cols, size)
-
-
-def _a_closed(n: int, beta: Fraction) -> FinMatrix:
-    nb = n * beta
-    cols = []
-    for p in range(n):
-        acc = Poly.zero(max(n - 1, 0))
-        for m in range(p, n):
-            term = t_poly(m, m + 1 - nb, nb).poly * _ONE_MINUS_X ** (n - 1 - m)
-            acc = acc + Q(comb(n - 1 - p, n - 1 - m), m + 1) * term
-        cols.append(acc.with_bound(n - 1))
-    return FinMatrix.from_columns(cols, n)
-
-
-def _t_closed(n: int, beta: Fraction) -> FinMatrix:
-    nb = n * beta
-    cols = []
-    for p in range(n):
-        acc = Poly.zero(max(n - 1, 0))
-        for m in range(p, n):
-            term = t_poly(m, n + m + 1 - nb, nb).poly * _ONE_MINUS_X ** (n - 1 - m)
-            acc = acc + Q(comb(n - 1 - p, n - 1 - m), comb(n + 1 + m, m)) * term
-        cols.append(acc.with_bound(n - 1))
-    return FinMatrix.from_columns(cols, n)
+def _band_closed(d: int, c: int, nb: Fraction) -> FinMatrix:
+    """Column p is sum over m = p..d of C(d-p, d-m) t_m, with
+    t_m = t_poly(m, m + c - n*beta, n*beta) (1-x)^(d-m) / C(m+c, m)."""
+    terms = [t_poly(m, m + c - nb, nb).poly * _ONE_MINUS_X ** (d - m) * Q(1, comb(m + c, m))
+             for m in range(d + 1)]
+    band = FinMatrix([[comb(d - p, d - m) for p in range(d + 1)] for m in range(d + 1)])
+    return FinMatrix.from_columns(terms, d + 1) * band
 
 
 def _x_closed(n: int) -> FinMatrix:
@@ -205,8 +198,7 @@ def beta_matrix(kind: str, n: int, beta=None) -> FinMatrix:
     shift and from its closed form, held against each other by
     :func:`agree`.  X takes no beta.
     """
-    if n < 1:
-        raise DomainError("beta matrices need n >= 1")
+    _count("n", n, 1)
     if kind == "X":
         conj = core_matrix("Vinv", n) * _down_shift(n + 1) * core_matrix("V", n)
         closed = _x_closed(n)
@@ -218,16 +210,16 @@ def beta_matrix(kind: str, n: int, beta=None) -> FinMatrix:
     nb = n * beta
     if kind == "G":
         conj = core_matrix("U", n) * shift_matrix(nb, n + 1) * core_matrix("Uinv", n)
-        closed = _g_closed(n, beta)
+        closed = _g_closed(n, nb)
     elif kind == "H":
         conj = exp_matrix("F", n) * shift_matrix(nb, n + 1) * exp_matrix("Finv", n)
-        closed = _h_closed(n, beta)
+        closed = _band_closed(n, n, nb)
     elif kind == "A":
         conj = tilde_matrix("Ut", n) * shift_matrix(nb, n) * tilde_matrix("Utinv", n)
-        closed = _a_closed(n, beta)
+        closed = _band_closed(n - 1, 1, nb)
     elif kind == "T":
         conj = tilde_matrix("Ft", n) * shift_matrix(nb, n) * tilde_matrix("Ftinv", n)
-        closed = _t_closed(n, beta)
+        closed = _band_closed(n - 1, n + 1, nb)
     else:
         raise DomainError("unknown beta matrix kind %r" % (kind,))
     agree("%s: conjugated shift against closed form" % kind, conj, closed, n=n, beta=beta)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .fps import DomainError, Poly, Q, _q, _ratio, _to_ints
+from .fps import DomainError, Poly, Q, _count, _q, _ratio, _to_ints
 
 _SCALARS = (int, Fraction)
 
@@ -57,6 +57,7 @@ class FinMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "FinMatrix":
+        _count("identity size", n, 1)
         return cls([[Q(int(i == j)) for j in range(n)] for i in range(n)])
 
     @classmethod

@@ -40,7 +40,7 @@ from math import comb, factorial
 
 from . import exact
 from .arrays import EXPONENTIAL, SQUARE, RiordanArray
-from .fps import DomainError, Poly, Q, RangeError, Series, _q, agree
+from .fps import DomainError, Poly, Q, RangeError, Series, _count, _q, agree
 from .matrix import FinMatrix
 
 _ONE_MINUS_X = Poly([1, -1])
@@ -58,8 +58,7 @@ def _check_square_pair(b: Series, a: Series, n: int):
         raise DomainError("column series needs a(0) = 1")
     if b.coeffs[0] == 0:
         raise DomainError("weight series needs b(0) != 0")
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("n must be a nonnegative integer, got %r" % (n,))
+    _count("n", n)
 
 
 def _check_residual(t, power: int, g: Poly, n: int):
@@ -353,8 +352,7 @@ def alpha_gf_check(a: Series, order_x: int) -> bool:
     """
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")
-    if not isinstance(order_x, int) or order_x < 0:
-        raise DomainError("order_x must be a nonnegative integer, got %r" % (order_x,))
+    _count("order_x", order_x)
     if a.order < 2 * order_x + 2:
         raise RangeError("series order must be at least 2*order_x + 2")
     alphas = [alpha_poly(a, k) for k in range(order_x + 1)]
@@ -380,8 +378,7 @@ def phi_gf_check(a: Series, order_x: int) -> bool:
     """
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")
-    if not isinstance(order_x, int) or order_x < 0:
-        raise DomainError("order_x must be a nonnegative integer, got %r" % (order_x,))
+    _count("order_x", order_x)
     if a.order < 2 * (2 * order_x + 1):
         raise RangeError("series order must be at least 2(2*order_x + 1)")
     phis = [phi_poly(a, k) for k in range(order_x + 1)]

@@ -164,7 +164,23 @@ def test_product_forms_match_fraction_loops():
 def test_bad_counts_are_domain_errors():
     for call in (lambda: exact.binom(5, 2.0), lambda: exact.binom(Q(1, 2), 2.0),
                  lambda: exact.falling(Q(1, 2), 2.0), lambda: exact.falling(Q(1, 2), -1),
-                 lambda: exact.rising(3, -1), lambda: exact.rising(3, Q(2))):
+                 lambda: exact.rising(3, -1), lambda: exact.rising(3, Q(2)),
+                 lambda: exact.falling_from(1, -1), lambda: exact.rising_from(1, -1),
+                 lambda: exact.falling_poly(-1), lambda: exact.rising_poly(-2),
+                 lambda: exact.falling_poly(2.0), lambda: exact.rising_from(1, Q(2)),
+                 lambda: exact.stirling1(2.0, 1), lambda: exact.stirling1(2, 1.0),
+                 lambda: exact.stirling2(2.0, 1), lambda: exact.stirling2(2, Q(1)),
+                 lambda: exact.stirling1(-1, 0), lambda: exact.stirling2(2, 3)):
         with pytest.raises(DomainError):
             call()
     assert exact.binom(Q(1, 2), -1) == 0
+
+
+def test_poly_products_evaluate_to_scalar_products():
+    rng = random.Random(17)
+    for _ in range(20):
+        c = Q(rng.randint(-9, 9), rng.randint(1, 4))
+        x0 = Q(rng.randint(-9, 9), rng.randint(1, 4))
+        for n in range(0, 8):
+            assert exact.falling_from(c, n).eval(x0) == exact.falling(x0 + c, n)
+            assert exact.rising_from(c, n).eval(x0) == exact.rising(x0 + c, n)

@@ -246,6 +246,19 @@ def test_derivative():
         Series.one(0).derivative()
 
 
+def test_bad_orders_and_indices_are_domain_errors():
+    g = Series.geometric(3)
+    for call in (lambda: Series.geometric(-1), lambda: g.truncate(-1),
+                 lambda: Series.x(2.0), lambda: Series.one(-1),
+                 lambda: Poly([1, 1]).to_series(Q(2)), lambda: g.coeff(2.0),
+                 lambda: g.coeff(-1), lambda: g[Q(1)]):
+        with pytest.raises(DomainError, match="must be a nonnegative integer, got "):
+            call()
+    for call in (lambda: g.coeff(4), lambda: g.truncate(4)):
+        with pytest.raises(RangeError):
+            call()
+
+
 def test_x_log_derivative_of_geometric():
     # x * (log 1/(1-x))' = x/(1-x)
     got = xdlog(Series.geometric(9))

@@ -1,9 +1,13 @@
+import dataclasses
 import random
+import re
 from fractions import Fraction as Q
+from math import comb, factorial
 
 import pytest
 
-from riordan import verify
+from riordan import exact, genlagrange, verify
+from riordan.arrays import table_row
 from riordan.fps import ConsistencyError, DomainError, PoleError, Poly, Series
 from riordan.genlagrange import (beta_alpha_closed, beta_matrix,
                                  beta_phi_closed, beta_q_transform,
@@ -196,3 +200,132 @@ def test_resolvent_sum_identity():
         for n in range(7):
             acc = acc + q_series(lag, n, 6) * us[n].eval(phi)
         assert acc == Series.one(6) / Series.from_poly([1, -phi], 6)
+
+
+# The closed forms as they are printed: G, H, A and T column by column,
+# each column of H, A and T a sum over m of one t_poly term, and alpha and
+# phi as coefficient lists.  They are the references for the band product
+# and the t_poly rows, and build their terms from exact.binom, not t_poly.
+
+_ONE_MINUS_X = Poly([1, -1])
+
+
+def _t(n, phi, beta_arg):
+    return Poly([exact.binom(phi, m) * exact.binom(beta_arg, n - m)
+                 for m in range(n + 1)], n)
+
+
+def _ref_g(n, beta):
+    size = n + 1
+    nb = n * beta
+    cols = []
+    for p in range(size):
+        cols.append(Poly([exact.binom(p - nb, m) * exact.binom(nb + n - p, n - m)
+                          for m in range(size)], n))
+    return FinMatrix.from_columns(cols, size)
+
+
+def _ref_h(n, beta):
+    size = n + 1
+    nb = n * beta
+    cols = []
+    for p in range(size):
+        acc = Poly.zero(n)
+        for m in range(p, n + 1):
+            term = _t(m, n + m - nb, nb) * _ONE_MINUS_X ** (n - m)
+            acc = acc + Q(comb(n - p, n - m), comb(n + m, m)) * term
+        cols.append(acc.with_bound(n))
+    return FinMatrix.from_columns(cols, size)
+
+
+def _ref_a(n, beta):
+    nb = n * beta
+    cols = []
+    for p in range(n):
+        acc = Poly.zero(max(n - 1, 0))
+        for m in range(p, n):
+            term = _t(m, m + 1 - nb, nb) * _ONE_MINUS_X ** (n - 1 - m)
+            acc = acc + Q(comb(n - 1 - p, n - 1 - m), m + 1) * term
+        cols.append(acc.with_bound(n - 1))
+    return FinMatrix.from_columns(cols, n)
+
+
+def _ref_t(n, beta):
+    nb = n * beta
+    cols = []
+    for p in range(n):
+        acc = Poly.zero(max(n - 1, 0))
+        for m in range(p, n):
+            term = _t(m, n + m + 1 - nb, nb) * _ONE_MINUS_X ** (n - 1 - m)
+            acc = acc + Q(comb(n - 1 - p, n - 1 - m), comb(n + 1 + m, m)) * term
+        cols.append(acc.with_bound(n - 1))
+    return FinMatrix.from_columns(cols, n)
+
+
+def _ref_alpha(n, beta):
+    coeffs = [Q(0)] + [exact.binom(n * (1 - beta), m - 1) * exact.binom(n * beta, n - m)
+                       for m in range(1, n + 1)]
+    return Poly(coeffs, n) * Q(1, n)
+
+
+def _ref_phi(n, beta):
+    coeffs = [Q(0)] + [exact.binom(n * (2 - beta), m - 1) * exact.binom(n * beta, n - m)
+                       for m in range(1, n + 1)]
+    return Poly(coeffs, n) * Q(factorial(n + 1), n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closed_forms_match_column_sums(n):
+    for beta in verify.DEFAULT_BETAS + (Q(0), Q(5, 7), Q(-3, 2)):
+        for kind, ref in (("G", _ref_g), ("H", _ref_h), ("A", _ref_a), ("T", _ref_t)):
+            assert beta_matrix(kind, n, beta).data == ref(n, beta).data, (kind, beta)
+        assert genlagrange._band_closed(n, 0, n * beta).data == _ref_g(n, beta).data
+        for got, want in ((beta_alpha_closed(n, beta), _ref_alpha(n, beta)),
+                          (beta_phi_closed(n, beta), _ref_phi(n, beta))):
+            assert (got.coeffs, got.bound) == (want.coeffs, want.bound)
+
+
+def test_corrupted_t_poly_is_named_by_the_h_check(monkeypatch):
+    right = beta_matrix("H", 3, 1)
+    real = genlagrange.t_poly
+
+    def off_by_one(n, phi, beta_arg):  # [x^0] one too big
+        tp = real(n, phi, beta_arg)
+        return dataclasses.replace(tp, poly=tp.poly + 1)
+
+    monkeypatch.setattr(genlagrange, "t_poly", off_by_one)
+    wrong = genlagrange._band_closed(3, 3, Q(3))
+    i, j = next((i, j) for i in range(4) for j in range(4)
+                if wrong.entry(i, j) != right.entry(i, j))
+    msg = ("H: conjugated shift against closed form (n=3, beta=1): entry (%d, %d): "
+           "got %s, want %s" % (i, j, right.entry(i, j), wrong.entry(i, j)))
+    with pytest.raises(ConsistencyError, match="^%s$" % re.escape(msg)):
+        beta_matrix("H", 3, 1)
+
+
+_A = Series.from_poly([1, 1], 6)
+
+BAD_ORDER_CALLS = {
+    "t_poly": ("n", lambda k: t_poly(k, 1, 1)),
+    "beta_alpha_closed": ("n", lambda k: beta_alpha_closed(k, 1)),
+    "beta_phi_closed": ("n", lambda k: beta_phi_closed(k, 1)),
+    "gen_binomial_series": ("order", lambda k: gen_binomial_series(1, 1, k)),
+    "u_polys": ("top", lambda k: u_polys(_A, k)),
+    "gen_lagrange_series": ("order", lambda k: gen_lagrange_series(_A, 1, k)),
+    "q_series-n": ("n", lambda k: q_series(_A, k, 3)),
+    "q_series-order": ("order", lambda k: q_series(_A, 1, k)),
+    "beta_matrix-H": ("n", lambda k: beta_matrix("H", k, 1)),
+    "beta_matrix-X": ("n", lambda k: beta_matrix("X", k)),
+    "beta_matrix-unknown": ("n", lambda k: beta_matrix("Z", k, 1)),
+    "table_row": ("order", lambda k: table_row(_A, _A, 1, 1, 1, k)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ORDER_CALLS)
+def test_bad_order_is_a_domain_error(name):
+    arg, call = BAD_ORDER_CALLS[name]
+    for bad in (-1, 2.0, Q(2)):
+        pattern = r"^%s must be a (nonnegative|positive) integer, got %s$" % (
+            arg, re.escape(repr(bad)))
+        with pytest.raises(DomainError, match=pattern):
+            call(bad)

@@ -22,6 +22,12 @@ def test_inverse_exact():
         FinMatrix([[1, 2], [2, 4]]).inverse()
 
 
+def test_bad_identity_size_is_a_domain_error():
+    for bad in (-1, 0, 2.0, Q(2)):
+        with pytest.raises(DomainError, match="identity size must be a positive integer"):
+            FinMatrix.identity(bad)
+
+
 def test_pow_negative_goes_through_inverse():
     a = FinMatrix([[1, 1], [0, 1]])
     assert a ** 3 == FinMatrix([[1, 3], [0, 1]])
