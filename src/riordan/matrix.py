@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .fps import DomainError, Poly, Q, _count, _q, _ratio, _to_ints
+from .fps import DomainError, Poly, Q, RangeError, _count, _q, _ratio, _to_ints
 
 _SCALARS = (int, Fraction)
 
@@ -62,6 +62,8 @@ class FinMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "FinMatrix":
+        _count("row count", rows, 1)
+        _count("column count", cols, 1)
         return cls([[Q(0)] * cols for _ in range(rows)])
 
     @classmethod
@@ -79,7 +81,7 @@ class FinMatrix:
             if isinstance(p, Poly):
                 if p.degree() > n_rows - 1:
                     raise DomainError("column polynomial too long for the matrix")
-                cols.append([p.coeff(i) for i in range(n_rows)])
+                cols.append((p.coeffs + [Q(0)] * n_rows)[:n_rows])
             else:
                 coeffs = [_q(v) for v in p]
                 if len(coeffs) > n_rows:
@@ -91,6 +93,9 @@ class FinMatrix:
     # -- accessors -------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
+        if _count("row index", i) >= self.n_rows or _count("column index", j) >= self.n_cols:
+            raise RangeError("entry (%d, %d) outside a %dx%d matrix"
+                             % (i, j, self.n_rows, self.n_cols))
         return self.data[i][j]
 
     def row(self, i: int):

@@ -160,6 +160,7 @@ def core_matrix(kind: str, n: int, phi=None) -> FinMatrix:
 def shift_matrix(phi, size: int) -> FinMatrix:
     """Matrix of c(x) -> c(x + phi) on polynomials of bound size-1."""
     phi = _q(phi)
+    _count("shift matrix size", size, 1)
     data = [[Q(0)] * size for _ in range(size)]
     for j in range(size):
         p = Q(1)

@@ -101,13 +101,26 @@ def test_reversion_round_trip_random():
         assert r.compose(g) == Series.x(10)
 
 
+def compose_horner(f, g):
+    """Reference composition f(g): Horner's rule in g, one full product
+    per coefficient of f (the loop the baby-step/giant-step one replaced)."""
+    n = min(f.order, g.order)
+    g = g.truncate(n)
+    acc = Series.const(f.coeffs[n], n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * g + f.coeffs[k]
+    return acc
+
+
 def reversion_by_coefficients(g):
     """Reference reversion: solve g(h) = x for h one coefficient at a time,
-    [x^k] g(h) = g1*h_k + (terms in h_1..h_(k-1)) = 0 for k >= 2."""
+    [x^k] g(h) = g1*h_k + (terms in h_1..h_(k-1)) = 0 for k >= 2.  It
+    composes by :func:`compose_horner`, so it shares no code with
+    ``Series.compose``."""
     n, g1 = g.order, g.coeffs[1]
     h = [Q(0), 1 / g1]
     for k in range(2, n + 1):
-        value = g.truncate(k).compose(Series(h + [Q(0)], k)).coeffs[k]
+        value = compose_horner(g.truncate(k), Series(h + [Q(0)], k)).coeffs[k]
         h.append(-value / g1)
     return Series(h, n)
 
@@ -251,12 +264,17 @@ def test_bad_orders_and_indices_are_domain_errors():
     for call in (lambda: Series.geometric(-1), lambda: g.truncate(-1),
                  lambda: Series.x(2.0), lambda: Series.one(-1),
                  lambda: Poly([1, 1]).to_series(Q(2)), lambda: g.coeff(2.0),
-                 lambda: g.coeff(-1), lambda: g[Q(1)]):
+                 lambda: g.coeff(-1), lambda: g[Q(1)],
+                 lambda: Poly([1, 1]).coeff(2.0), lambda: Poly([1, 1, 1]).coeff(1.0),
+                 lambda: Poly([1, 1]).coeff(-1), lambda: Poly.monomial(-1),
+                 lambda: Poly.monomial(2.0), lambda: Poly.monomial(1, bound=-1),
+                 lambda: Poly.zero(-1), lambda: Poly.one(Q(1))):
         with pytest.raises(DomainError, match="must be a nonnegative integer, got "):
             call()
     for call in (lambda: g.coeff(4), lambda: g.truncate(4)):
         with pytest.raises(RangeError):
             call()
+    assert Poly([1, 1]).coeff(2) == 0
 
 
 def test_x_log_derivative_of_geometric():
@@ -485,3 +503,32 @@ def test_fractional_pow_matches_log_exp(e):
     for kind, c in series_cases(33, (1,)):
         if kind != "coprime" or len(c) <= 7:
             assert Series(c).pow(e).coeffs == ref_pow(c, e), (kind, len(c))
+
+
+# -- baby-step/giant-step composition against Horner's rule ------------------------
+
+def compose_cases(seed):
+    """(f, g) at orders 0..70 of every kind in SERIES_KINDS (coprime only
+    up to order 12), plus f = 0, g = x, a sparse g and pairs whose orders
+    differ by 1..6 either way."""
+    rng = random.Random(seed)
+    for order in range(71):
+        for kind in SERIES_KINDS:
+            if kind != "coprime" or order <= 12:
+                yield (Series(series_tail(rng, order + 1, kind)),
+                       Series([Q(0)] + series_tail(rng, order, kind)))
+        f = Series(series_tail(rng, order + 1, "small"))
+        yield Series.zero(order), Series([Q(0)] + series_tail(rng, order, "small"))
+        yield f, Series.x(order) if order else Series.zero(0)
+        yield f, Series([Q(0)] + series_tail(rng, order, "sparse"))
+        longer = order + rng.randint(1, 6)
+        g = Series([Q(0)] + series_tail(rng, longer, rng.choice(("small", "int"))))
+        yield f, g
+        yield Series(series_tail(rng, longer + 1, "small")), g.truncate(order)
+
+
+def test_compose_matches_horner():
+    for f, g in compose_cases(51):
+        got, want = f.compose(g), compose_horner(f, g)
+        assert got.order == want.order == min(f.order, g.order)
+        assert got.coeffs == want.coeffs, (f.order, g.order)

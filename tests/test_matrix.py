@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from riordan.fps import DomainError, Poly
+from riordan.fps import DomainError, Poly, RangeError
 from riordan.matrix import FinMatrix
 
 
@@ -26,6 +26,22 @@ def test_bad_identity_size_is_a_domain_error():
     for bad in (-1, 0, 2.0, Q(2)):
         with pytest.raises(DomainError, match="identity size must be a positive integer"):
             FinMatrix.identity(bad)
+
+
+def test_bad_zeros_size_and_entry_index_are_typed_errors():
+    for bad in (-1, 0, 2.0, Q(2)):
+        with pytest.raises(DomainError, match="row count must be a positive integer"):
+            FinMatrix.zeros(bad, 2)
+        with pytest.raises(DomainError, match="column count must be a positive integer"):
+            FinMatrix.zeros(2, bad)
+    a = FinMatrix([[1, 2], [3, 4]])
+    for i, j in ((-1, 0), (0, -1), (2.0, 0), (0, Q(1))):
+        with pytest.raises(DomainError, match="index must be a nonnegative integer"):
+            a.entry(i, j)
+    for i, j in ((2, 0), (0, 2)):
+        with pytest.raises(RangeError):
+            a.entry(i, j)
+    assert a.entry(1, 0) == 3
 
 
 def test_pow_negative_goes_through_inverse():

@@ -11,7 +11,8 @@ from riordan.matrix import FinMatrix
 from riordan.numerator import (NumeratorResult, W_matrix, alpha_gf_check,
                                alpha_poly, core_matrix, euler_numerator,
                                exp_matrix, narayana_numerator, phi_gf_check,
-                               phi_poly, strided_matrix, tilde_matrix)
+                               phi_poly, shift_matrix, strided_matrix,
+                               tilde_matrix)
 
 
 def geo(order):
@@ -61,6 +62,9 @@ def test_euler_numerator_preconditions():
     (strided_matrix, (geo(16), 2.0, 2)),
     (arrays.RiordanArray(geo(8), Series.x(8)).row, (-1,)),
     (arrays.RiordanArray(geo(8), Series.x(8)).row, (2.0,)),
+    (shift_matrix, (1, 0)),
+    (shift_matrix, (1, -1)),
+    (shift_matrix, (1, 2.0)),
 ])
 def test_bad_n_is_domain_error(call, args):
     with pytest.raises(DomainError):
