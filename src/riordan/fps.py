@@ -185,6 +185,19 @@ def _count(what: str, n, least: int = 0) -> int:
     return n
 
 
+def _power(base, k: int, one):
+    """base ** k for an int k >= 0 by square-and-multiply, starting from
+    ``one``; the caller checks k and deals with its sign."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
 _SCALARS = (int, Fraction)
 
 
@@ -351,14 +364,7 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise DomainError("polynomial powers need a nonnegative integer exponent")
-        out = Poly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, Poly.one())
 
     def eval(self, point) -> Fraction:
         point = _q(point)
@@ -691,16 +697,7 @@ class Series:
             return Series(_unscale(h, h[0], r), self.order)
         if e < 0:
             return self.pow(-e).inverse()
-        k = e.numerator
-        out = Series.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _power(self, e.numerator, Series.one(self.order))
 
     __pow__ = pow
 

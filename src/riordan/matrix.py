@@ -21,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .fps import DomainError, Poly, Q, RangeError, _count, _q, _ratio, _to_ints
+from .fps import (DomainError, Poly, Q, RangeError, _count, _power, _q, _ratio,
+                  _to_ints)
 
 _SCALARS = (int, Fraction)
 
@@ -168,15 +169,7 @@ class FinMatrix:
             raise DomainError("matrix powers need integer exponents")
         if k < 0:
             return self.inverse() ** (-k)
-        out = FinMatrix.identity(self.n_rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _power(self, k, FinMatrix.identity(self.n_rows))
 
     def inverse(self) -> "FinMatrix":
         """Gauss-Jordan elimination over Q."""

@@ -1,10 +1,17 @@
 """Named executable checks: every printed matrix, every theorem suite.
 
 Each check has a stable identifier (thm2.1 .. thm9.5, ex2.1 .. ex8.1,
-eq1, eq2, eq3, w-amazing, col-sums, fixtures) and returns a list of
-failure payloads; an empty list means the check passed.  Randomized
-suites draw from a seeded generator, so identical invocations produce
-identical reports.
+eq1, eq2, eq3, w-amazing, col-sums, fixtures) and is a generator of
+comparisons ``(label, got, want)``; an identity that a function decides
+yes or no is yielded as ``(label, verdict, True)``.  :func:`run_suite` is
+the only code that compares.  It holds each pair against the other with
+``fps._mismatch`` and words a failure ``"label: first difference"``; a
+result's detail keeps the first four failures and counts the rest as
+``"; and N more"``.  A check that raises fails with ``"raised Error:
+message"`` in place of what it had collected, and a check that yields no
+comparison fails with ``"no comparisons made"``, so no check passes
+vacuously.  Randomized suites draw from a seeded generator, so identical
+invocations produce identical reports.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from math import comb, factorial
 
 from . import exact
 from .arrays import EXPONENTIAL, RiordanArray, lagrange_pair, table_row
-from .fps import DomainError, Poly, Q, Series, _mismatch, xdlog
+from .fps import DomainError, Poly, Q, Series, _mismatch, _q, xdlog
 from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
                           beta_q_transform, beta_u_transform,
                           gen_binomial_series, gen_lagrange_series, q_series,
@@ -54,8 +61,13 @@ class Report:
 
 class _Ctx:
     def __init__(self, max_n: int, betas, seed: int):
+        # below max_n 1 most checks would compare nothing
+        if not isinstance(max_n, int) or max_n < 1:
+            raise DomainError("max_n must be at least 1, got %r" % (max_n,))
+        if not isinstance(seed, int):
+            raise DomainError("seed must be an integer, got %r" % (seed,))
         self.max_n = max_n
-        self.betas = tuple(Q(b) for b in betas)
+        self.betas = tuple(_q(b) for b in betas)
         self.seed = seed
 
     def rng(self, name: str) -> random.Random:
@@ -95,12 +107,6 @@ def beta_family(beta, phi, order: int) -> Series:
     if beta == 0:
         return Series.from_poly([1, 1], order).pow(phi)
     return gen_binomial_series(beta, beta, order).pow(phi / beta)
-
-
-def _neq(fails, label, got, want):
-    diff = _mismatch(got, want)
-    if diff is not None:
-        fails.append("%s: %s" % (label, diff))
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -221,97 +227,155 @@ def _catalan(order: int) -> Series:
     return gen_binomial_series(2, 1, order)
 
 
+# -- shared check shapes ------------------------------------------------------
+
+
+def _reduce(mat: FinMatrix, m: int) -> FinMatrix:
+    """The s x s matrix ``mat`` carried down m orders: multiplication by
+    1/(1-x)^m as an (s-m) x s band, then ``mat``, then multiplication by
+    (1-x)^m as an s x (s-m) band."""
+    s = mat.n_rows
+    return (mult_op(Series.geometric(s).pow(m), s - m, s) * mat
+            * mult_op(Poly([1, -1]) ** m, s, s - m))
+
+
+def _reflection(kind, first_n, reversal):
+    """The check K(-beta) = J K(beta) J for K = beta_matrix(kind), with
+    J = reversal(n), for n from first_n to max_n."""
+    def check(ctx):
+        for n in range(first_n, ctx.max_n + 1):
+            j = reversal(n)
+            for beta in ctx.betas:
+                yield ("n=%d beta=%s" % (n, beta), beta_matrix(kind, n, -beta),
+                       j * beta_matrix(kind, n, beta) * j)
+    return check
+
+
+def _alternation(first_n, route):
+    """The check L E(shift) Alt R = (-1)^(size-1) J, with (L, shift, R, J)
+    = route(n) for n from first_n to max_n, E(phi) the argument shift
+    c(x) -> c(x + phi), Alt the sign change c(x) -> c(-x) and size the
+    size of J."""
+    def check(ctx):
+        for n in range(first_n, ctx.max_n + 1):
+            left, shift, right, rev = route(n)
+            size = rev.n_rows
+            yield ("n=%d" % n,
+                   left * shift_matrix(shift, size) * alt_matrix(size) * right,
+                   rev * Q(-1) ** (size - 1))
+    return check
+
+
+def _closed_family(ctx, numerator, closed, order):
+    """numerator(a, n) of the binomial family a = beta_family(beta, 1,
+    order(n)) against its closed form closed(n, beta)."""
+    for n in range(1, ctx.max_n + 1):
+        for beta in ctx.betas:
+            yield ("n=%d beta=%s" % (n, beta),
+                   numerator(beta_family(beta, 1, order(n)), n), closed(n, beta))
+
+
+def _end_columns(ctx, kind, scale, closed, dual):
+    """scale(n) times the last column of K = beta_matrix(kind, n, beta) is
+    closed(n, beta)/t, and scale(n) times its first column is
+    closed(n, dual + beta)/t."""
+    t = Poly([0, 1])
+    for n in range(1, ctx.max_n + 1):
+        for beta in ctx.betas:
+            k = beta_matrix(kind, n, beta)
+            for end, j, b in (("last", n - 1, beta), ("first", 0, dual + beta)):
+                yield ("%s column n=%d beta=%s" % (end, n, beta),
+                       scale(n) * k.column_poly(j),
+                       closed(n, b).divexact(t).with_bound(n - 1))
+
+
+# -- fixtures -----------------------------------------------------------------
+
+
 def _chk_fixtures(ctx):
-    fails = []
     for n, want in _FIX_U.items():
-        _neq(fails, "U_%d" % n, core_matrix("U", n), want)
+        yield "U_%d" % n, core_matrix("U", n), want
     for n, want in _FIX_UINV.items():
-        _neq(fails, "Uinv_%d" % n, core_matrix("Uinv", n), want)
-    _neq(fails, "J_3", core_matrix("J", 3), _FIX_J3)
-    _neq(fails, "V_3", core_matrix("V", 3), _FIX_V3)
-    _neq(fails, "Vinv_3", core_matrix("Vinv", 3), _FIX_V3INV)
+        yield "Uinv_%d" % n, core_matrix("Uinv", n), want
+    yield "J_3", core_matrix("J", 3), _FIX_J3
+    yield "V_3", core_matrix("V", 3), _FIX_V3
+    yield "Vinv_3", core_matrix("Vinv", 3), _FIX_V3INV
     stirling_left = _M([[1, 0, 0, 0], [0, 1, -1, 2], [0, 0, 1, -3], [0, 0, 0, 1]]) * 6
     stirling_left = stirling_left * FinMatrix.diag([1, 1, Q(1, 2), Q(1, 6)])
-    _neq(fails, "Uinv_3*Vinv_3",
-         core_matrix("Uinv", 3) * core_matrix("Vinv", 3), stirling_left)
+    yield ("Uinv_3*Vinv_3", core_matrix("Uinv", 3) * core_matrix("Vinv", 3),
+           stirling_left)
     stirling_right = FinMatrix.diag([1, 1, 2, 6]) * _M(
         [[1, 0, 0, 0], [0, 1, 1, 1], [0, 0, 1, 3], [0, 0, 0, 1]]) * Q(1, 6)
-    _neq(fails, "V_3*U_3", core_matrix("V", 3) * core_matrix("U", 3), stirling_right)
+    yield "V_3*U_3", core_matrix("V", 3) * core_matrix("U", 3), stirling_right
     for n, want in enumerate(_FIX_EULER):
-        _neq(fails, "A_%d" % n, exact.eulerian_poly(n), Poly(want))
+        yield "A_%d" % n, exact.eulerian_poly(n), Poly(want)
     for n, want in _FIX_F.items():
-        _neq(fails, "F_%d" % n, exp_matrix("F", n), want)
+        yield "F_%d" % n, exp_matrix("F", n), want
     for n, want in _FIX_FINV.items():
-        _neq(fails, "Finv_%d" % n, exp_matrix("Finv", n), want)
+        yield "Finv_%d" % n, exp_matrix("Finv", n), want
     for n, want in _FIX_S.items():
-        _neq(fails, "S_%d" % n, exp_matrix("S", n), want)
+        yield "S_%d" % n, exp_matrix("S", n), want
     for n, want in _FIX_SINV.items():
-        _neq(fails, "Sinv_%d" % n, exp_matrix("Sinv", n), want)
+        yield "Sinv_%d" % n, exp_matrix("Sinv", n), want
     s3_fact = _FIX_V3INV * FinMatrix.diag([1, 4, 10, 20]) * _FIX_V3 * 6
-    _neq(fails, "S_3 factorization", exp_matrix("S", 3), s3_fact)
+    yield "S_3 factorization", exp_matrix("S", 3), s3_fact
     for n, want in _FIX_G.items():
-        _neq(fails, "G_%d" % n, beta_matrix("G", n, 1), want)
+        yield "G_%d" % n, beta_matrix("G", n, 1), want
     for n, want in _FIX_GINV.items():
-        _neq(fails, "Ginv_%d" % n, beta_matrix("G", n, -1), want)
+        yield "Ginv_%d" % n, beta_matrix("G", n, -1), want
     g3_fact = _FIX_V3INV * _binom_band_T(3, 4) * _FIX_V3
-    _neq(fails, "G_3 factorization", beta_matrix("G", 3, 1), g3_fact)
+    yield "G_3 factorization", beta_matrix("G", 3, 1), g3_fact
     x3 = beta_matrix("X", 3)
-    _neq(fails, "X_3", x3, _FIX_X3)
-    _neq(fails, "X_3^2", x3 ** 2, _FIX_X3_SQ)
-    _neq(fails, "X_3^3", x3 ** 3, _FIX_X3_CB)
+    yield "X_3", x3, _FIX_X3
+    yield "X_3^2", x3 ** 2, _FIX_X3_SQ
+    yield "X_3^3", x3 ** 3, _FIX_X3_CB
     ident = FinMatrix.identity(4)
-    _neq(fails, "G_3 power sum",
-         ident + 3 * x3 + 3 * (x3 ** 2) + x3 ** 3, _FIX_G[3])
-    _neq(fails, "Ginv_3 power sum",
-         ident - 3 * x3 + 6 * (x3 ** 2) - 10 * (x3 ** 3), _FIX_GINV[3])
+    yield ("G_3 power sum", ident + 3 * x3 + 3 * (x3 ** 2) + x3 ** 3, _FIX_G[3])
+    yield ("Ginv_3 power sum", ident - 3 * x3 + 6 * (x3 ** 2) - 10 * (x3 ** 3),
+           _FIX_GINV[3])
     for n, want in _FIX_G_ROOT.items():
-        got = beta_matrix("G", n, Q(1, n))
-        _neq(fails, "G_%d^(1/%d)" % (n, n), got, want)
-        _neq(fails, "I + X_%d" % n,
-             FinMatrix.identity(n + 1) + beta_matrix("X", n), want)
+        yield "G_%d^(1/%d)" % (n, n), beta_matrix("G", n, Q(1, n)), want
+        yield ("I + X_%d" % n, FinMatrix.identity(n + 1) + beta_matrix("X", n),
+               want)
     for n, want in _FIX_H.items():
-        _neq(fails, "H_%d" % n, beta_matrix("H", n, 1), want)
+        yield "H_%d" % n, beta_matrix("H", n, 1), want
     h3_fact = (_FIX_V3INV * FinMatrix.diag([1, 4, 10, 20]) * _binom_band_T(3, 4)
                * FinMatrix.diag([1, Q(1, 4), Q(1, 10), Q(1, 20)]) * _FIX_V3)
-    _neq(fails, "H_3 factorization", beta_matrix("H", 3, 1), h3_fact)
-    _neq(fails, "Ut_4", tilde_matrix("Ut", 4), _FIX_UT4)
-    _neq(fails, "Utinv_4", tilde_matrix("Utinv", 4), _FIX_UT4INV)
+    yield "H_3 factorization", beta_matrix("H", 3, 1), h3_fact
+    yield "Ut_4", tilde_matrix("Ut", 4), _FIX_UT4
+    yield "Utinv_4", tilde_matrix("Utinv", 4), _FIX_UT4INV
     tl = (_M([[1, -1, 2, -6], [0, 1, -3, 11], [0, 0, 1, -6], [0, 0, 0, 1]]) * 24
           * FinMatrix.diag([1, Q(1, 2), Q(1, 6), Q(1, 24)]))
-    _neq(fails, "Utinv_4*Vtinv_4",
-         tilde_matrix("Utinv", 4) * tilde_matrix("Vt", 4).inverse(), tl)
+    yield ("Utinv_4*Vtinv_4",
+           tilde_matrix("Utinv", 4) * tilde_matrix("Vt", 4).inverse(), tl)
     tr = (FinMatrix.diag([1, 2, 6, 24])
           * _M([[1, 1, 1, 1], [0, 1, 3, 7], [0, 0, 1, 6], [0, 0, 0, 1]]) * Q(1, 24))
-    _neq(fails, "Vt_4*Ut_4", tilde_matrix("Vt", 4) * tilde_matrix("Ut", 4), tr)
-    _neq(fails, "Ft_4", tilde_matrix("Ft", 4), _FIX_FT4)
-    _neq(fails, "Ftinv_4", tilde_matrix("Ftinv", 4), _FIX_FT4INV)
+    yield "Vt_4*Ut_4", tilde_matrix("Vt", 4) * tilde_matrix("Ut", 4), tr
+    yield "Ft_4", tilde_matrix("Ft", 4), _FIX_FT4
+    yield "Ftinv_4", tilde_matrix("Ftinv", 4), _FIX_FT4INV
     for (n, m), want in _FIX_W.items():
-        _neq(fails, "W_(%d,%d)" % (n, m), W_matrix(n, m), want)
+        yield "W_(%d,%d)" % (n, m), W_matrix(n, m), want
     w32 = W_matrix(3, 2)
     a3t = Poly([1, 4, 1], 2)
-    _neq(fails, "W_(3,2) eigenvector", w32.apply(a3t), 8 * a3t)
-    _neq(fails, "W_(3,3) eigenvector", W_matrix(3, 3).apply(a3t), 27 * a3t)
-    _neq(fails, "W_(3,2)^2", w32 * w32, _FIX_W[(3, 4)])
-    red1 = (mult_op(Series.geometric(2), 2, 3) * w32
-            * mult_op(Poly([1, -1]), 3, 2))
-    _neq(fails, "W_(3,2) reduction to W_(2,2)", red1, _FIX_W[(2, 2)])
-    red2 = (mult_op(Series.geometric(2).pow(2), 1, 3) * w32
-            * mult_op(Poly([1, -1]) ** 2, 3, 1))
-    _neq(fails, "W_(3,2) reduction to W_(1,2)", red2, _FIX_W[(1, 2)])
+    yield "W_(3,2) eigenvector", w32.apply(a3t), 8 * a3t
+    yield "W_(3,3) eigenvector", W_matrix(3, 3).apply(a3t), 27 * a3t
+    yield "W_(3,2)^2", w32 * w32, _FIX_W[(3, 4)]
+    yield "W_(3,2) reduction to W_(2,2)", _reduce(w32, 1), _FIX_W[(2, 2)]
+    yield "W_(3,2) reduction to W_(1,2)", _reduce(w32, 2), _FIX_W[(1, 2)]
     vt3 = tilde_matrix("Vt", 3)
     mid = _M([[2, 1, 0], [0, 4, 4], [0, 0, 8]])
-    _neq(fails, "W_(3,2) band factorization", vt3.inverse() * mid * vt3, w32)
+    yield "W_(3,2) band factorization", vt3.inverse() * mid * vt3, w32
     for n, want in _FIX_A.items():
-        _neq(fails, "A_%d" % n, beta_matrix("A", n, 1), want)
+        yield "A_%d" % n, beta_matrix("A", n, 1), want
     vt4 = tilde_matrix("Vt", 4)
     dt4 = tilde_matrix("Dt", 4)
     a4_fact = (vt4.inverse() * dt4 * _binom_band_T(4, 4) * dt4.inverse() * vt4)
-    _neq(fails, "A_4 factorization", beta_matrix("A", 4, 1), a4_fact)
+    yield "A_4 factorization", beta_matrix("A", 4, 1), a4_fact
     for n, want in _FIX_T.items():
-        _neq(fails, "T_%d" % n, beta_matrix("T", n, 1), want)
+        yield "T_%d" % n, beta_matrix("T", n, 1), want
     ctd = FinMatrix.diag([comb(5 + p, p) for p in range(4)])
     t4_fact = vt4.inverse() * ctd * _binom_band_T(4, 4) * ctd.inverse() * vt4
-    _neq(fails, "T_4 factorization", beta_matrix("T", 4, 1), t4_fact)
+    yield "T_4 factorization", beta_matrix("T", 4, 1), t4_fact
 
     order = 10
     cat = _catalan(order)
@@ -325,25 +389,18 @@ def _chk_fixtures(ctx):
     for key, arr in (("bell-shift", shifted_bell), ("catalan-log", arr_log),
                      ("catalan-deriv", arr_deriv), ("catalan-recip", arr_recip)):
         for n, want in enumerate(_FIX_TRIANGLES[key]):
-            _neq(fails, "%s triangle row %d" % (key, n),
-                 list(arr.row(n)), [Q(v) for v in want])
-    return fails
+            yield ("%s triangle row %d" % (key, n), list(arr.row(n)),
+                   [Q(v) for v in want])
 
 
 # -- theorem suites -----------------------------------------------------------
 
 
-def _chk_thm21(ctx):
-    fails = []
-    for n in range(1, ctx.max_n + 1):
-        lhs = (core_matrix("U", n) * shift_matrix(1, n + 1) * alt_matrix(n + 1)
-               * core_matrix("Uinv", n))
-        _neq(fails, "n=%d" % n, lhs, core_matrix("J", n) * Q(-1) ** n)
-    return fails
+_chk_thm21 = _alternation(1, lambda n: (core_matrix("U", n), 1,
+                                        core_matrix("Uinv", n), core_matrix("J", n)))
 
 
 def _chk_thm22(ctx):
-    fails = []
     rng = ctx.rng("thm2.2")
     top = min(6, ctx.max_n)
     order = 2 * top + 2
@@ -355,26 +412,21 @@ def _chk_thm22(ctx):
         for n in range(top + 1):
             lhs = Q(-1) ** n * euler_numerator(b, a, n).poly.reverse()
             rhs = euler_numerator(binv, ainv, n).poly
-            _neq(fails, "trial=%d n=%d" % (trial, n), rhs, lhs)
-    return fails
+            yield "trial=%d n=%d" % (trial, n), rhs, lhs
 
 
 def _chk_thm23(ctx):
-    fails = []
     rng = ctx.rng("thm2.3")
     order = 2 * ctx.max_n + 2
     for trial in range(20):
         b = _rand_weight(rng, order)
         a = _rand_unit(rng, order)
         for n in range(ctx.max_n + 1):
-            got = euler_numerator(b, a, n).poly.eval(1)
-            _neq(fails, "trial=%d n=%d" % (trial, n), got,
-                 b.coeffs[0] * a.coeffs[1] ** n)
-    return fails
+            yield ("trial=%d n=%d" % (trial, n), euler_numerator(b, a, n).poly.eval(1),
+                   b.coeffs[0] * a.coeffs[1] ** n)
 
 
 def _chk_thm24(ctx):
-    fails = []
     rng = ctx.rng("thm2.4")
     one_minus_x = Poly([1, -1])
     for n in range(1, ctx.max_n + 1):
@@ -383,53 +435,36 @@ def _chk_thm24(ctx):
             lhs = core_matrix("U", n).apply(c.with_bound(n))
             rhs = (Q(factorial(n - m), factorial(n)) * one_minus_x ** m
                    * core_matrix("U", n - m).apply(c))
-            _neq(fails, "drop n=%d m=%d" % (n, m), lhs, rhs)
+            yield "drop n=%d m=%d" % (n, m), lhs, rhs
             d = _rand_poly_exact(rng, n - m, n - m)
             lhs2 = core_matrix("Uinv", n).apply((one_minus_x ** m * d).with_bound(n))
             rhs2 = (Q(factorial(n), factorial(n - m))
                     * core_matrix("Uinv", n - m).apply(d))
-            _neq(fails, "lift n=%d m=%d" % (n, m), lhs2, rhs2)
-    return fails
+            yield "lift n=%d m=%d" % (n, m), lhs2, rhs2
 
 
 def _chk_thm25(ctx):
-    fails = []
     x = Poly([0, 1])
     for n in range(1, ctx.max_n + 1):
-        _neq(fails, "beta=1 n=%d" % n, beta_alpha_closed(n, 1), x)
-        _neq(fails, "beta=0 n=%d" % n, beta_alpha_closed(n, 0), Poly.monomial(n))
-        half = beta_alpha_closed(2 * n, Q(1, 2))
-        want = Q(1, 2) * Poly([1, 1]) * Poly.monomial(n)
-        _neq(fails, "beta=1/2 n=%d" % (2 * n), half, want)
+        yield "beta=1 n=%d" % n, beta_alpha_closed(n, 1), x
+        yield "beta=0 n=%d" % n, beta_alpha_closed(n, 0), Poly.monomial(n)
+        yield ("beta=1/2 n=%d" % (2 * n), beta_alpha_closed(2 * n, Q(1, 2)),
+               Q(1, 2) * Poly([1, 1]) * Poly.monomial(n))
         for beta in ctx.betas:
             dual = (x * beta_alpha_closed(n, beta).reverse()).with_bound(n)
-            _neq(fails, "duality beta=%s n=%d" % (beta, n),
-                 beta_alpha_closed(n, 1 - beta), dual)
-    return fails
+            yield ("duality beta=%s n=%d" % (beta, n),
+                   beta_alpha_closed(n, 1 - beta), dual)
 
 
 def _chk_eq2(ctx):
-    fails = []
-    for n in range(1, ctx.max_n + 1):
-        order = 2 * n + 2
-        for beta in ctx.betas:
-            series = beta_family(beta, 1, order)
-            got = alpha_poly(series, n)
-            _neq(fails, "n=%d beta=%s" % (n, beta), got, beta_alpha_closed(n, beta))
-    return fails
+    return _closed_family(ctx, alpha_poly, beta_alpha_closed, lambda n: 2 * n + 2)
 
 
-def _chk_thm31(ctx):
-    fails = []
-    for n in range(1, ctx.max_n + 1):
-        lhs = (exp_matrix("F", n) * shift_matrix(n + 1, n + 1) * alt_matrix(n + 1)
-               * exp_matrix("Finv", n))
-        _neq(fails, "n=%d" % n, lhs, core_matrix("J", n) * Q(-1) ** n)
-    return fails
+_chk_thm31 = _alternation(1, lambda n: (exp_matrix("F", n), n + 1,
+                                        exp_matrix("Finv", n), core_matrix("J", n)))
 
 
 def _chk_thm32(ctx):
-    fails = []
     rng = ctx.rng("thm3.2")
     top = min(6, ctx.max_n)
     order = 2 * (2 * top + 1)
@@ -441,19 +476,16 @@ def _chk_thm32(ctx):
         image_b = b.compose(xabar) * xabar.derivative()
         for n in range(top + 1):
             h = narayana_numerator(b, a, n).poly
-            _neq(fails, "eval trial=%d n=%d" % (trial, n), h.eval(1),
-                 b.coeffs[0] * a.coeffs[1] ** n * Q(factorial(2 * n), factorial(n)))
-            rhs = narayana_numerator(image_b, abar, n).poly
-            _neq(fails, "trial=%d n=%d" % (trial, n), rhs,
-                 Q(-1) ** n * h.reverse())
-    return fails
+            yield ("eval trial=%d n=%d" % (trial, n), h.eval(1),
+                   b.coeffs[0] * a.coeffs[1] ** n * Q(factorial(2 * n), factorial(n)))
+            yield ("trial=%d n=%d" % (trial, n),
+                   narayana_numerator(image_b, abar, n).poly, Q(-1) ** n * h.reverse())
 
 
 def _chk_thm41(ctx):
-    fails = []
     for n in range(1, ctx.max_n + 1):
-        want = (core_matrix("Vinv", n) * exp_matrix("C", n) * core_matrix("V", n))
-        _neq(fails, "n=%d" % n, exp_matrix("S", n), want)
+        yield ("n=%d" % n, exp_matrix("S", n),
+               core_matrix("Vinv", n) * exp_matrix("C", n) * core_matrix("V", n))
     rng = ctx.rng("thm4.1")
     top = min(6, ctx.max_n)
     order = 2 * (2 * top + 1)
@@ -463,84 +495,52 @@ def _chk_thm41(ctx):
         for n in range(1, top + 1):
             g = euler_numerator(b, a, n).poly
             h = narayana_numerator(b, a, n).poly
-            _neq(fails, "map trial=%d n=%d" % (trial, n),
-                 exp_matrix("S", n).apply(g), h)
-    return fails
+            yield "map trial=%d n=%d" % (trial, n), exp_matrix("S", n).apply(g), h
 
 
 def _chk_thm42(ctx):
-    fails = []
     for n in range(1, ctx.max_n + 1):
-        _neq(fails, "inverse pair n=%d" % n, exp_matrix("S", n) * exp_matrix("Sinv", n),
-             FinMatrix.identity(n + 1))
-    return fails
+        yield ("inverse pair n=%d" % n, exp_matrix("S", n) * exp_matrix("Sinv", n),
+               FinMatrix.identity(n + 1))
 
 
 def _chk_thm43(ctx):
-    fails = []
     for n in range(1, ctx.max_n + 1):
-        _neq(fails, "inverse n=%d" % n, exp_matrix("Sinv", n), exp_matrix("S", n).inverse())
-    return fails
+        yield ("inverse n=%d" % n, exp_matrix("Sinv", n),
+               exp_matrix("S", n).inverse())
 
 
 def _chk_thm44(ctx):
-    fails = []
     top = min(4, ctx.max_n)
     order = 2 * (2 * top + 1)
     for c in (Q(1), Q(2), Q(1, 2)):
         a = Series([c ** k for k in range(order + 1)], order)
         for n in range(1, top + 1):
             h = narayana_numerator(a, a, n).poly
-            _neq(fails, "geometric c=%s n=%d" % (c, n), h.reverse(), h)
+            yield "geometric c=%s n=%d" % (c, n), h.reverse(), h
     perturbed = Series.from_poly([1, 1, 2], order)
-    if all(narayana_numerator(perturbed, perturbed, n).poly.reverse()
-           == narayana_numerator(perturbed, perturbed, n).poly
-           for n in range(1, top + 1)):
-        fails.append("perturbed series kept symmetric numerators up to n=%d" % top)
-    return fails
+    numerators = (narayana_numerator(perturbed, perturbed, n).poly
+                  for n in range(1, top + 1))
+    yield ("perturbed series breaks the symmetry by n=%d" % top,
+           any(h.reverse() != h for h in numerators), True)
 
 
 def _chk_thm45(ctx):
-    fails = []
     for n in range(1, ctx.max_n + 1):
-        _neq(fails, "beta=0 n=%d" % n, beta_phi_closed(n, 0),
-             Q(factorial(2 * n), factorial(n)) * Poly.monomial(n))
-        _neq(fails, "beta=2 n=%d" % n, beta_phi_closed(n, 2),
-             Q(factorial(2 * n), factorial(n)) * Poly([0, 1]))
+        scale = Q(factorial(2 * n), factorial(n))
+        yield "beta=0 n=%d" % n, beta_phi_closed(n, 0), scale * Poly.monomial(n)
+        yield "beta=2 n=%d" % n, beta_phi_closed(n, 2), scale * Poly([0, 1])
         for beta in ctx.betas:
             dual = (Poly([0, 1]) * beta_phi_closed(n, beta).reverse()).with_bound(n)
-            _neq(fails, "duality beta=%s n=%d" % (beta, n),
-                 beta_phi_closed(n, 2 - beta), dual)
-    return fails
+            yield ("duality beta=%s n=%d" % (beta, n),
+                   beta_phi_closed(n, 2 - beta), dual)
 
 
 def _chk_eq3(ctx):
-    fails = []
-    for n in range(1, ctx.max_n + 1):
-        order = 2 * (2 * n + 1)
-        for beta in ctx.betas:
-            series = beta_family(beta, 1, order)
-            got = phi_poly(series, n)
-            _neq(fails, "n=%d beta=%s" % (n, beta), got, beta_phi_closed(n, beta))
-    return fails
-
-
-def _reflection(kind, first_n, reversal):
-    """The check K(-beta) = J K(beta) J for K = beta_matrix(kind), with
-    J = reversal(n), for n from first_n to max_n."""
-    def check(ctx):
-        fails = []
-        for n in range(first_n, ctx.max_n + 1):
-            j = reversal(n)
-            for beta in ctx.betas:
-                _neq(fails, "n=%d beta=%s" % (n, beta), beta_matrix(kind, n, -beta),
-                     j * beta_matrix(kind, n, beta) * j)
-        return fails
-    return check
+    return _closed_family(ctx, phi_poly, beta_phi_closed, lambda n: 2 * (2 * n + 1))
 
 
 def _chk_thm62(ctx):
-    fails = []
     for n in range(1, ctx.max_n + 1):
         v = core_matrix("V", n)
         vinv = core_matrix("Vinv", n)
@@ -548,13 +548,11 @@ def _chk_thm62(ctx):
             nb = n * beta
             if nb.denominator != 1:
                 continue
-            want = vinv * _binom_band_T(nb, n + 1) * v
-            _neq(fails, "n=%d beta=%s" % (n, beta), beta_matrix("G", n, beta), want)
-    return fails
+            yield ("n=%d beta=%s" % (n, beta), beta_matrix("G", n, beta),
+                   vinv * _binom_band_T(nb, n + 1) * v)
 
 
 def _chk_thm63(ctx):
-    fails = []
     for n in range(1, ctx.max_n + 1):
         x = beta_matrix("X", n)
         powers = [FinMatrix.identity(n + 1)]
@@ -565,72 +563,58 @@ def _chk_thm63(ctx):
             acc = FinMatrix.zeros(n + 1, n + 1)
             for m in range(n + 1):
                 acc = acc + exact.binom(n * beta, m) * powers[m]
-            _neq(fails, "nilpotent sum n=%d beta=%s" % (n, beta), acc, g)
+            yield "nilpotent sum n=%d beta=%s" % (n, beta), acc, g
             for m in range(1, n):
-                red = (mult_op(Series.geometric(n).pow(m), n - m + 1, n + 1) * g
-                       * mult_op(Poly([1, -1]) ** m, n + 1, n - m + 1))
-                want = beta_matrix("G", n - m, n * beta / (n - m))
-                _neq(fails, "reduction n=%d m=%d beta=%s" % (n, m, beta), red, want)
-        _neq(fails, "unit root n=%d" % n, beta_matrix("G", n, Q(1, n)),
-             FinMatrix.identity(n + 1) + x)
-    return fails
+                yield ("reduction n=%d m=%d beta=%s" % (n, m, beta), _reduce(g, m),
+                       beta_matrix("G", n - m, n * beta / (n - m)))
+        yield ("unit root n=%d" % n, beta_matrix("G", n, Q(1, n)),
+               FinMatrix.identity(n + 1) + x)
 
 
 def _chk_thm72(ctx):
-    fails = []
     for n in range(1, ctx.max_n + 1):
         for beta in ctx.betas:
             h = beta_matrix("H", n, beta)
             nb = n * beta
             top = Poly([exact.binom(2 * n - nb, m) * exact.binom(nb, n - m)
                         for m in range(n + 1)], n) * Q(1, comb(2 * n, n))
-            _neq(fails, "last column n=%d beta=%s" % (n, beta),
-                 h.column_poly(n), top)
+            yield "last column n=%d beta=%s" % (n, beta), h.column_poly(n), top
             first = Poly([exact.binom(-nb, m) * exact.binom(nb + 2 * n, n - m)
                           for m in range(n + 1)], n) * Q(1, comb(2 * n, n))
-            _neq(fails, "first column n=%d beta=%s" % (n, beta),
-                 h.column_poly(0), first)
-    return fails
+            yield "first column n=%d beta=%s" % (n, beta), h.column_poly(0), first
 
 
-def _chk_thm81(ctx):
-    fails = []
-    for n in range(2, ctx.max_n + 1):
-        lhs = tilde_matrix("Ut", n) * alt_matrix(n) * tilde_matrix("Utinv", n)
-        _neq(fails, "n=%d" % n, lhs, tilde_matrix("Jt", n) * Q(-1) ** (n - 1))
-    return fails
+_chk_thm81 = _alternation(2, lambda n: (tilde_matrix("Ut", n), 0,
+                                        tilde_matrix("Utinv", n), tilde_matrix("Jt", n)))
 
 
 def _chk_thm82(ctx):
-    """W_matrix holds its two routes against each other and raises on a
-    mismatch, which run_suite records as the failure."""
     for n in range(1, ctx.max_n + 1):
         for m in range(1, 5):
-            W_matrix(n, m)
-    return []
+            window = (Poly([1] * m) ** (n + 1)).to_series(m * n + m)
+            yield "n=%d m=%d" % (n, m), W_matrix(n, m), strided_matrix(window, m, n)
+
+
+_ft_alternation = _alternation(2, lambda n: (tilde_matrix("Ft", n), n,
+                                             tilde_matrix("Ftinv", n),
+                                             tilde_matrix("Jt", n)))
 
 
 def _chk_thm83(ctx):
-    fails = []
-    for n in range(2, ctx.max_n + 1):
-        lhs = (tilde_matrix("Ft", n) * shift_matrix(n, n) * alt_matrix(n)
-               * tilde_matrix("Ftinv", n))
-        _neq(fails, "n=%d" % n, lhs, tilde_matrix("Jt", n) * Q(-1) ** (n - 1))
+    yield from _ft_alternation(ctx)
     for n in range(ctx.max_n + 1):
         for p in range(n + 1):
             s1 = sum(Q(-1) ** (n - m) * comb(2 * n + 1, n - m) * Q(m) ** p
                      * comb(m + n, n) for m in range(n + 1))
-            _neq(fails, "column element n=%d p=%d" % (n, p), s1,
-                 Q(-1) ** (n + p) * Q(n + 1) ** p)
+            yield ("column element n=%d p=%d" % (n, p), s1,
+                   Q(-1) ** (n + p) * Q(n + 1) ** p)
             s2 = sum(Q(-1) ** (n - m) * comb(2 * n + 1, n - m) * Q(m + 1) ** p
                      * comb(m + n, n) for m in range(n + 1))
-            _neq(fails, "shifted column element n=%d p=%d" % (n, p), s2,
-                 Q(-1) ** (n + p) * Q(n) ** p)
-    return fails
+            yield ("shifted column element n=%d p=%d" % (n, p), s2,
+                   Q(-1) ** (n + p) * Q(n) ** p)
 
 
 def _chk_thm92(ctx):
-    fails = []
     for n in range(1, ctx.max_n + 1):
         vt = tilde_matrix("Vt", n)
         dt = tilde_matrix("Dt", n)
@@ -638,112 +622,78 @@ def _chk_thm92(ctx):
             nb = n * beta
             if nb.denominator != 1:
                 continue
-            want = vt.inverse() * dt * _binom_band_T(nb, n) * dt.inverse() * vt
-            _neq(fails, "n=%d beta=%s" % (n, beta), beta_matrix("A", n, beta), want)
-    return fails
+            yield ("n=%d beta=%s" % (n, beta), beta_matrix("A", n, beta),
+                   vt.inverse() * dt * _binom_band_T(nb, n) * dt.inverse() * vt)
 
 
 def _chk_thm93(ctx):
-    fails = []
+    yield from _end_columns(ctx, "A", lambda n: 1, beta_alpha_closed, 1)
     for n in range(1, ctx.max_n + 1):
-        for beta in ctx.betas:
-            a = beta_matrix("A", n, beta)
-            want_last = beta_alpha_closed(n, beta).divexact(Poly([0, 1]))
-            _neq(fails, "last column n=%d beta=%s" % (n, beta),
-                 n * a.column_poly(n - 1), (n * want_last).with_bound(n - 1))
-            want_first = beta_alpha_closed(n, 1 + beta).divexact(Poly([0, 1]))
-            _neq(fails, "first column n=%d beta=%s" % (n, beta),
-                 n * a.column_poly(0), (n * want_first).with_bound(n - 1))
+        a = beta_matrix("A", n, Q(1))
         for m in range(1, n):
-            g = beta_matrix("A", n, Q(1))
-            red = (mult_op(Series.geometric(n).pow(m), n - m, n) * g
-                   * mult_op(Poly([1, -1]) ** m, n, n - m))
-            _neq(fails, "reduction n=%d m=%d" % (n, m), red,
-                 beta_matrix("A", n - m, Q(n, n - m)))
-    return fails
+            yield ("reduction n=%d m=%d" % (n, m), _reduce(a, m),
+                   beta_matrix("A", n - m, Q(n, n - m)))
 
 
 def _chk_thm95(ctx):
-    fails = []
-    scale = lambda n: Q(factorial(2 * n), factorial(n))
-    for n in range(1, ctx.max_n + 1):
-        for beta in ctx.betas:
-            t = beta_matrix("T", n, beta)
-            want_last = beta_phi_closed(n, beta).divexact(Poly([0, 1]))
-            _neq(fails, "last column n=%d beta=%s" % (n, beta),
-                 scale(n) * t.column_poly(n - 1), want_last.with_bound(n - 1))
-            want_first = beta_phi_closed(n, 2 + beta).divexact(Poly([0, 1]))
-            _neq(fails, "first column n=%d beta=%s" % (n, beta),
-                 scale(n) * t.column_poly(0), want_first.with_bound(n - 1))
-    return fails
+    return _end_columns(ctx, "T", lambda n: Q(factorial(2 * n), factorial(n)),
+                        beta_phi_closed, 2)
 
 
 # -- worked examples ----------------------------------------------------------
 
 
 def _chk_ex21(ctx):
-    fails = []
     top = min(5, ctx.max_n)
     order = 2 * top + 2
     a = (Series.from_poly([1, 1], order) / Series.from_poly([1, -1], order))
     half_plus_x = Poly([Q(1, 2), 1])
     for n in range(1, top + 1):
         v = RiordanArray(Series.one(n), a.truncate(n) - 1).row_poly(n)
-        _neq(fails, "v_%d" % n, v,
-             Q(2) ** n * Poly([0, 1]) * half_plus_x ** (n - 1))
-        alpha = alpha_poly(a, n)
-        _neq(fails, "alpha_%d" % n, alpha,
-             2 * Poly([0, 1]) * Poly([1, 1]) ** (n - 1))
+        yield ("v_%d" % n, v, Q(2) ** n * Poly([0, 1]) * half_plus_x ** (n - 1))
+        yield ("alpha_%d" % n, alpha_poly(a, n),
+               2 * Poly([0, 1]) * Poly([1, 1]) ** (n - 1))
         u = RiordanArray(Series.one(order), a.log(), EXPONENTIAL).sheffer_row(n)
-        want1 = Poly.zero(n)
-        want2 = Poly.zero(n)
-        for p_ in range(n + 1):
-            want1 = want1 + (2 * exact.binom(n - 1, p_ - 1)
-                             * exact.falling_poly(p_) * exact.rising_from(1, n - p_))
-        for p_ in range(n + 1):
-            want2 = want2 + (factorial(n) * exact.binom(n - 1, p_ - 1)
-                             * Q(2 ** p_, factorial(p_)) * exact.falling_poly(p_))
-        _neq(fails, "u_%d (factorial form)" % n, u, want1.with_bound(n))
-        _neq(fails, "u_%d (descending form)" % n, u, want2.with_bound(n))
-    return fails
+        want1 = sum((2 * exact.binom(n - 1, p_ - 1) * exact.falling_poly(p_)
+                     * exact.rising_from(1, n - p_) for p_ in range(n + 1)),
+                    Poly.zero(n))
+        want2 = sum((factorial(n) * exact.binom(n - 1, p_ - 1)
+                     * Q(2 ** p_, factorial(p_)) * exact.falling_poly(p_)
+                     for p_ in range(n + 1)), Poly.zero(n))
+        yield "u_%d (factorial form)" % n, u, want1.with_bound(n)
+        yield "u_%d (descending form)" % n, u, want2.with_bound(n)
 
 
 def _chk_ex22(ctx):
-    fails = []
     top = 4
     order = 4 * top + 2
     half_sq = Series.from_poly([1, 0, Q(1, 4)], order).sqrt()
     g = half_sq + Series.from_poly([0, Q(1, 2)], order)
     b = Series.from_poly([1, 1], order).sqrt()
-    _neq(fails, "lagrange pair of sqrt(1+x)", lagrange_pair(b), g)
+    yield "lagrange pair of sqrt(1+x)", lagrange_pair(b), g
     arr = RiordanArray(Series.one(order), g.mul_x().truncate(order))
     half_plus_x = Poly([Q(1, 2), 1])
     for n in range(1, top + 1):
         want = half_plus_x * Poly.monomial(n) * Poly([1, 1]) ** (n - 1)
-        _neq(fails, "row %d" % (2 * n), arr.row_poly(2 * n),
-             want.with_bound(2 * n))
+        yield "row %d" % (2 * n), arr.row_poly(2 * n), want.with_bound(2 * n)
     asq = g * g
-    _neq(fails, "square equals the half-parameter family",
-         asq, gen_binomial_series(Q(1, 2), 1, order))
+    yield ("square equals the half-parameter family",
+           asq, gen_binomial_series(Q(1, 2), 1, order))
     for n in range(1, top + 1):
-        _neq(fails, "alpha_%d" % (2 * n), alpha_poly(asq, 2 * n),
-             Q(1, 2) * Poly([1, 1]) * Poly.monomial(n))
+        yield ("alpha_%d" % (2 * n), alpha_poly(asq, 2 * n),
+               Q(1, 2) * Poly([1, 1]) * Poly.monomial(n))
         u = RiordanArray(Series.one(order), asq.log(), EXPONENTIAL).sheffer_row(2 * n)
         want = Poly.one()
         for m in range(n):
             want = want * Poly([-Q(m * m), 0, 1])
-        _neq(fails, "u_%d" % (2 * n), u, want.with_bound(2 * n))
-    return fails
+        yield "u_%d" % (2 * n), u, want.with_bound(2 * n)
 
 
 def _chk_ex23(ctx):
-    fails = []
     phi, beta = Q(1), Q(1)
     order_x = 8
-    denom = Series.from_poly([1, phi, beta], 2 * order_x + 2)
-    a = denom.inverse()
-    if not alpha_gf_check(a, order_x):
-        fails.append("generating identity fails")
+    a = Series.from_poly([1, phi, beta], 2 * order_x + 2).inverse()
+    yield "generating identity", alpha_gf_check(a, order_x), True
     # the closed rational form (1 + phi(1-t)x + beta(1-t)^2 x^2) over
     # (1 + phi x + beta(1-t)x^2): the only t in the denominator sits in its
     # x^2 coefficient, so [x^n] of the form has degree <= n in t, as alpha_n
@@ -753,28 +703,23 @@ def _chk_ex23(ctx):
         s = 1 - t0
         num = Series.from_poly([1, phi * s, beta * s * s], order_x)
         den = Series.from_poly([1, phi, beta * s], order_x)
-        closed = num / den
-        for n in range(order_x + 1):
-            if alphas[n].eval(t0) != closed.coeffs[n]:
-                fails.append("closed rational form differs at x^%d, t=%s" % (n, t0))
-                break
-    return fails
+        yield ("closed rational form at t=%s" % t0,
+               Series([alpha.eval(t0) for alpha in alphas], order_x), num / den)
 
 
 def _chk_ex31(ctx):
-    fails = []
     top = min(5, ctx.max_n)
     order = 2 * (2 * top + 1)
     cat = _catalan(order)
     for n in range(1, top + 1):
         u = RiordanArray(Series.one(order), cat.log(), EXPONENTIAL).sheffer_row(n)
-        _neq(fails, "u_%d over x" % n, u.divexact(Poly([0, 1])),
-             exact.rising_from(n + 1, n - 1).with_bound(n - 1))
+        yield ("u_%d over x" % n, u.divexact(Poly([0, 1])),
+               exact.rising_from(n + 1, n - 1).with_bound(n - 1))
         lifted = exact.rising_from(n + 1, n).with_bound(n)
-        _neq(fails, "constant image n=%d" % n, exp_matrix("F", n).apply(lifted),
-             Poly([Q(factorial(2 * n), factorial(n))], 0).with_bound(n))
-        _neq(fails, "monomial numerator n=%d" % n, phi_poly(cat, n),
-             Q(factorial(2 * n), factorial(n)) * Poly([0, 1]))
+        yield ("constant image n=%d" % n, exp_matrix("F", n).apply(lifted),
+               Poly([Q(factorial(2 * n), factorial(n))], 0).with_bound(n))
+        yield ("monomial numerator n=%d" % n, phi_poly(cat, n),
+               Q(factorial(2 * n), factorial(n)) * Poly([0, 1]))
     rng = ctx.rng("ex3.1")
     for trial in range(20):
         a = _rand_unit(rng, 10)
@@ -783,82 +728,69 @@ def _chk_ex31(ctx):
         for m in range(1, 10):
             am = a.pow(m)
             for n in range(0, 10 - m + 1):
-                _neq(fails, "log identity trial=%d n=%d m=%d" % (trial, n, m),
-                     (pref * am).coeffs[n], Q(m + n, m) * am.coeffs[n])
+                yield ("log identity trial=%d n=%d m=%d" % (trial, n, m),
+                       (pref * am).coeffs[n], Q(m + n, m) * am.coeffs[n])
         for m in range(0, 10):
             am1 = a.pow(m + 1)
             lhs = deriv * a.pow(m)
             for n in range(0, 10 - m + 1):
-                _neq(fails, "derivative identity trial=%d n=%d m=%d" % (trial, n, m),
-                     lhs.coeffs[n], Q(m + n + 1, m + 1) * am1.coeffs[n])
-    return fails
+                yield ("derivative identity trial=%d n=%d m=%d" % (trial, n, m),
+                       lhs.coeffs[n], Q(m + n + 1, m + 1) * am1.coeffs[n])
 
 
 def _chk_ex32(ctx):
-    fails = []
     top = min(6, ctx.max_n)
     order = 2 * (2 * top + 1)
     geo = Series.geometric(order)
     for n in range(1, top + 1):
-        _neq(fails, "phi_%d" % n, phi_poly(geo, n), beta_phi_closed(n, 1))
-    if not phi_gf_check(Series.geometric(2 * (2 * 8 + 1)), 8):
-        fails.append("exponential generating identity fails")
+        yield "phi_%d" % n, phi_poly(geo, n), beta_phi_closed(n, 1)
+    yield ("exponential generating identity",
+           phi_gf_check(Series.geometric(2 * (2 * 8 + 1)), 8), True)
+    n_ord = 10
     for tau in (Q(1, 2), Q(-1), Q(2)):
-        n_ord = 10
         inner = Series.from_poly([1, -2 * (1 + tau), (1 - tau) ** 2], n_ord + 1)
         closed = ((1 + (1 - tau) * Series.x(n_ord + 1) - inner.sqrt())
                   .div_x() / 2)
-        lhs = []
-        for n in range(n_ord + 1):
-            if n == 0:
-                lhs.append(Q(1))
-            else:
-                lhs.append(beta_phi_closed(n, 1).eval(tau) / factorial(n + 1))
-        _neq(fails, "closed form at t=%s" % tau, Series(lhs, n_ord), closed)
-    return fails
+        lhs = [Q(1)] + [beta_phi_closed(n, 1).eval(tau) / factorial(n + 1)
+                        for n in range(1, n_ord + 1)]
+        yield "closed form at t=%s" % tau, Series(lhs, n_ord), closed
 
 
 def _chk_ex41(ctx):
-    fails = []
     top = min(6, ctx.max_n)
     order = 2 * (2 * top + 1)
     geo = Series.geometric(order)
     for n in range(top + 1):
-        _neq(fails, "flat numerator n=%d" % n,
-             euler_numerator(geo, geo, n).poly, Poly.one().with_bound(n))
+        yield ("flat numerator n=%d" % n,
+               euler_numerator(geo, geo, n).poly, Poly.one().with_bound(n))
     for n in range(1, top + 1):
         type_b = Poly([comb(n, m) ** 2 for m in range(n + 1)], n)
-        _neq(fails, "type-B column n=%d" % n,
-             exp_matrix("S", n).column_poly(0), factorial(n) * type_b)
-        _neq(fails, "exponential image n=%d" % n,
-             narayana_numerator(geo, geo, n).poly, factorial(n) * type_b)
-    return fails
+        yield ("type-B column n=%d" % n,
+               exp_matrix("S", n).column_poly(0), factorial(n) * type_b)
+        yield ("exponential image n=%d" % n,
+               narayana_numerator(geo, geo, n).poly, factorial(n) * type_b)
 
 
 def _chk_ex42(ctx):
-    fails = []
     top = min(6, ctx.max_n)
     order = 2 * (2 * top + 1)
     one_plus_x = Series.from_poly([1, 1], order)
     cat = _catalan(order + 1)
     pref = 1 + xdlog(cat)
     for n in range(1, top + 1):
-        _neq(fails, "ordinary numerator n=%d" % n,
-             euler_numerator(one_plus_x, one_plus_x, n).poly,
-             Poly.monomial(n - 1).with_bound(n))
-        want = (Q(factorial(2 * n), 2 * factorial(n)) * Poly([1, 1])
-                * Poly.monomial(n - 1))
-        _neq(fails, "exponential numerator n=%d" % n,
-             narayana_numerator(one_plus_x, one_plus_x, n).poly,
-             want.with_bound(n))
-        _neq(fails, "reversed image n=%d" % n,
-             narayana_numerator(pref, cat.truncate(order), n).poly,
-             (Q(factorial(2 * n), 2 * factorial(n)) * Poly([1, 1])).with_bound(n))
-    return fails
+        yield ("ordinary numerator n=%d" % n,
+               euler_numerator(one_plus_x, one_plus_x, n).poly,
+               Poly.monomial(n - 1).with_bound(n))
+        half = Q(factorial(2 * n), 2 * factorial(n)) * Poly([1, 1])
+        yield ("exponential numerator n=%d" % n,
+               narayana_numerator(one_plus_x, one_plus_x, n).poly,
+               (half * Poly.monomial(n - 1)).with_bound(n))
+        yield ("reversed image n=%d" % n,
+               narayana_numerator(pref, cat.truncate(order), n).poly,
+               half.with_bound(n))
 
 
 def _chk_ex43(ctx):
-    fails = []
     top = min(6, ctx.max_n)
     order = 2 * (2 * top + 1)
     cat = _catalan(order + 1)
@@ -866,21 +798,19 @@ def _chk_ex43(ctx):
     pref = 1 + xdlog(cat)
     for n in range(1, top + 1):
         scale = Q(factorial(2 * n), factorial(n))
-        _neq(fails, "constant numerator n=%d" % n,
-             narayana_numerator(deriv, cat.truncate(order), n).poly,
-             Poly([scale], 0).with_bound(n))
-        _neq(fails, "ordinary numerator n=%d" % n,
-             euler_numerator(deriv, cat.truncate(order), n).poly,
-             (scale * exp_matrix("Sinv", n).column_poly(0)).with_bound(n))
+        yield ("constant numerator n=%d" % n,
+               narayana_numerator(deriv, cat.truncate(order), n).poly,
+               Poly([scale], 0).with_bound(n))
+        yield ("ordinary numerator n=%d" % n,
+               euler_numerator(deriv, cat.truncate(order), n).poly,
+               (scale * exp_matrix("Sinv", n).column_poly(0)).with_bound(n))
         want = Q(-1) ** n * Poly([comb(2 * n, m) * exact.binom(-n, n - m)
                                   for m in range(n + 1)], n)
-        _neq(fails, "reciprocal numerator n=%d" % n,
-             euler_numerator(pref, cat.inverse().truncate(order), n).poly, want)
-    return fails
+        yield ("reciprocal numerator n=%d" % n,
+               euler_numerator(pref, cat.inverse().truncate(order), n).poly, want)
 
 
 def _chk_ex61(ctx):
-    fails = []
     top = min(5, ctx.max_n)
     order = 2 * top + 2
     for beta in ctx.betas:
@@ -892,16 +822,15 @@ def _chk_ex61(ctx):
             fam1_beta = beta_family(beta + 1, beta, order)
             pref = 1 + xdlog(fam_beta)
             pref1 = 1 + xdlog(fam1_beta)
-            _neq(fails, "top column n=%d beta=%s" % (n, beta),
-                 g.column_poly(n), euler_numerator(pref, fam, n).poly)
-            _neq(fails, "linear column n=%d beta=%s" % (n, beta),
-                 g.column_poly(1), euler_numerator(pref1, fam1, n).poly)
-            _neq(fails, "subtop column n=%d beta=%s" % (n, beta),
-                 g.column_poly(n - 1),
-                 euler_numerator(fam * pref, fam, n).poly)
-            _neq(fails, "first column n=%d beta=%s" % (n, beta),
-                 g.column_poly(0),
-                 euler_numerator(fam1 * pref1, fam1, n).poly)
+            where = "n=%d beta=%s" % (n, beta)
+            yield ("top column " + where,
+                   g.column_poly(n), euler_numerator(pref, fam, n).poly)
+            yield ("linear column " + where,
+                   g.column_poly(1), euler_numerator(pref1, fam1, n).poly)
+            yield ("subtop column " + where,
+                   g.column_poly(n - 1), euler_numerator(fam * pref, fam, n).poly)
+            yield ("first column " + where,
+                   g.column_poly(0), euler_numerator(fam1 * pref1, fam1, n).poly)
     rng = ctx.rng("ex6.1")
     for trial in range(8):
         a = _rand_unit(rng, order + 1)
@@ -911,14 +840,12 @@ def _chk_ex61(ctx):
             image_b = (1 + xdlog(h.div_x()))
             for n in range(1, top + 1):
                 g_n = euler_numerator(Series.one(order + 1), a, n).poly
-                want = euler_numerator(image_b, lag, n).poly
-                _neq(fails, "transport trial=%d beta=%s n=%d" % (trial, beta, n),
-                     beta_matrix("G", n, beta).apply(g_n), want)
-    return fails
+                yield ("transport trial=%d beta=%s n=%d" % (trial, beta, n),
+                       beta_matrix("G", n, beta).apply(g_n),
+                       euler_numerator(image_b, lag, n).poly)
 
 
 def _chk_ex71(ctx):
-    fails = []
     top = min(4, ctx.max_n)
     order = 2 * (2 * top + 1)
     for beta in (Q(0), Q(1), Q(2)):
@@ -928,62 +855,51 @@ def _chk_ex71(ctx):
         for n in range(1, top + 1):
             scale = Q(factorial(2 * n), factorial(n))
             want = narayana_numerator(pref.truncate(order), fam.truncate(order), n).poly
-            _neq(fails, "top column beta=%s n=%d" % (beta, n),
-                 scale * beta_matrix("H", n, beta).column_poly(n), want)
+            yield ("top column beta=%s n=%d" % (beta, n),
+                   scale * beta_matrix("H", n, beta).column_poly(n), want)
     for n in range(1, min(6, ctx.max_n) + 1):
         for beta in ctx.betas:
             h = beta_matrix("H", n, beta)
             nb = n * beta
             arg = (Poly([1, 1]) * Poly.monomial(n - 1)).with_bound(n)
-            lhs = comb(2 * n - 1, n - 1) * h.apply(arg)
             want = Poly([exact.binom(2 * n - 1 - nb, m) * exact.binom(nb + 1, n - m)
                          for m in range(n + 1)], n)
-            _neq(fails, "palindromic pair n=%d beta=%s" % (n, beta), lhs, want)
+            yield ("palindromic pair n=%d beta=%s" % (n, beta),
+                   comb(2 * n - 1, n - 1) * h.apply(arg), want)
         for beta in ctx.betas:
             h = beta_matrix("H", n, beta)
             nb = n * beta
-            arg = Poly([1, 1], n)
-            lhs = comb(2 * n - 1, n - 1) * h.apply(arg)
             want = Poly([exact.binom(1 - nb, m) * exact.binom(nb + 2 * n - 1, n - m)
                          for m in range(n + 1)], n)
-            _neq(fails, "ones pair n=%d beta=%s" % (n, beta), lhs, want)
-    return fails
+            yield ("ones pair n=%d beta=%s" % (n, beta),
+                   comb(2 * n - 1, n - 1) * h.apply(Poly([1, 1], n)), want)
 
 
 def _chk_ex81(ctx):
-    fails = []
     window = (Poly([1, 1]) ** 3).to_series(6)
-    _neq(fails, "3-fold window stride 2", strided_matrix(window, 2, 2),
-         _M([[3, 1], [1, 3]]))
+    yield ("3-fold window stride 2", strided_matrix(window, 2, 2),
+           _M([[3, 1], [1, 3]]))
     window4 = (Poly([1, 1]) ** 4).to_series(8)
-    _neq(fails, "4-fold window stride 2", strided_matrix(window4, 2, 3),
-         _FIX_W[(3, 2)])
+    yield "4-fold window stride 2", strided_matrix(window4, 2, 3), _FIX_W[(3, 2)]
     rng = ctx.rng("ex8.1")
     a = _rand_series(rng, 8, rng.randint(1, 3))
-    got = strided_matrix(a, 1, 4)
     want = FinMatrix([[a.coeffs[i - j] if i >= j else Q(0) for j in range(4)]
                       for i in range(4)])
-    _neq(fails, "unit stride is the plain row shift", got, want)
-    return fails
+    yield "unit stride is the plain row shift", strided_matrix(a, 1, 4), want
 
 
 # -- generating functions and the section-5 machinery -------------------------
 
 
 def _chk_eq1(ctx):
-    fails = []
     rng = ctx.rng("eq1")
     for trial in range(10):
         a = _rand_unit(rng, 2 * (2 * 12 + 1))
-        if not alpha_gf_check(a, 12):
-            fails.append("ordinary families trial=%d" % trial)
-        if not phi_gf_check(a, 12):
-            fails.append("exponential families trial=%d" % trial)
-    return fails
+        yield "ordinary families trial=%d" % trial, alpha_gf_check(a, 12), True
+        yield "exponential families trial=%d" % trial, phi_gf_check(a, 12), True
 
 
 def _chk_w_amazing(ctx):
-    fails = []
     top = min(6, ctx.max_n)
     for n in range(1, top + 1):
         jt = tilde_matrix("Jt", n) if n >= 2 else FinMatrix.identity(1)
@@ -991,44 +907,32 @@ def _chk_w_amazing(ctx):
         a_t = exact.eulerian_poly(n).divexact(Poly([0, 1])).with_bound(n - 1)
         for m in range(1, 5):
             w = W_matrix(n, m)
-            sums = w.column_sums()
-            if any(s != Q(m) ** n for s in sums):
-                fails.append("column sums n=%d m=%d: %s" % (n, m, sums))
-            _neq(fails, "eigenvector n=%d m=%d" % (n, m), w.apply(a_t),
-                 Q(m) ** n * a_t)
-            _neq(fails, "reversal commutes n=%d m=%d" % (n, m), w * jt, jt * w)
+            where = "n=%d m=%d" % (n, m)
+            yield "column sums " + where, w.column_sums(), [Q(m) ** n] * n
+            yield "eigenvector " + where, w.apply(a_t), Q(m) ** n * a_t
+            yield "reversal commutes " + where, w * jt, jt * w
             shifted = Poly([1, 1]) ** m - 1
             mid = FinMatrix([[(shifted ** (i + 1)).coeff(j + 1) for j in range(n)]
                              for i in range(n)])
-            _neq(fails, "band factorization n=%d m=%d" % (n, m),
-                 vt.inverse() * mid * vt, w)
+            yield "band factorization " + where, vt.inverse() * mid * vt, w
             for p in range(1, 5):
-                _neq(fails, "product n=%d m=%d p=%d" % (n, m, p),
-                     W_matrix(n, m) * W_matrix(n, p), W_matrix(n, m * p))
+                yield ("product %s p=%d" % (where, p),
+                       w * W_matrix(n, p), W_matrix(n, m * p))
             for p in range(1, n):
-                red = (mult_op(Series.geometric(n).pow(p), n - p, n) * w
-                       * mult_op(Poly([1, -1]) ** p, n, n - p))
-                _neq(fails, "reduction n=%d m=%d p=%d" % (n, m, p), red,
-                     W_matrix(n - p, m))
-    return fails
+                yield "reduction %s p=%d" % (where, p), _reduce(w, p), W_matrix(n - p, m)
 
 
 def _chk_col_sums(ctx):
-    fails = []
-    top = min(6, ctx.max_n)
-    for n in range(1, top + 1):
+    for n in range(1, min(6, ctx.max_n) + 1):
         for beta in ctx.betas:
             for kind in ("G", "H"):
-                sums = beta_matrix(kind, n, beta).column_sums()
-                if any(s != 1 for s in sums):
-                    fails.append("%s n=%d beta=%s: %s" % (kind, n, beta, sums))
-    return fails
+                yield ("%s n=%d beta=%s" % (kind, n, beta),
+                       beta_matrix(kind, n, beta).column_sums(), [Q(1)] * (n + 1))
 
 
 def _chk_section5(ctx):
     """Lagrange-pair coefficients, fixed points, the u/q system, and the
     diagonal re-reading round trip."""
-    fails = []
     rng = ctx.rng("section5")
     for trial in range(20):
         a = _rand_unit(rng, 11)
@@ -1040,40 +944,30 @@ def _chk_section5(ctx):
             powers_a.append(powers_a[-1] * a)
         for m in range(1, 11):
             for n in range(0, 11 - m):
-                lhs = powers_b[m].coeffs[n]
-                rhs = Q(m, m + n) * powers_a[m + n].coeffs[n]
-                _neq(fails, "pair trial=%d n=%d m=%d" % (trial, n, m), lhs, rhs)
+                yield ("pair trial=%d n=%d m=%d" % (trial, n, m), powers_b[m].coeffs[n],
+                       Q(m, m + n) * powers_a[m + n].coeffs[n])
     for trial in range(6):
         a = _rand_unit(rng, 13)
         for beta in (Q(1), Q(-1), Q(1, 2), Q(2)):
             lag = gen_lagrange_series(a, beta, 12)
-            inner = lag.pow(beta).mul_x()
-            _neq(fails, "fixed point trial=%d beta=%s" % (trial, beta),
-                 a.compose(inner), lag)
+            yield ("fixed point trial=%d beta=%s" % (trial, beta),
+                   a.compose(lag.pow(beta).mul_x()), lag)
     ex = Series.from_poly([0, 1], 14).exp()
+    us = u_polys(ex, 8)
     for beta in (Q(1), Q(2), Q(-1)):
         lag = gen_lagrange_series(ex, beta, 12)
-        us = u_polys(ex, 8)
         lag_us = u_polys(lag, 8)
-        for n in range(8 + 1):
-            _neq(fails, "u transform beta=%s n=%d" % (beta, n),
-                 beta_u_transform(us[n], n, beta), lag_us[n])
-        for n in range(5):
-            _neq(fails, "q transform beta=%s n=%d" % (beta, n),
-                 beta_q_transform(q_series(ex, n, 8), n, beta),
-                 q_series(lag, n, 8))
-        grid = [[Q(0)] * 9 for _ in range(9)]
+        u_images = [beta_u_transform(us[n], n, beta) for n in range(9)]
+        q_images = [beta_q_transform(q_series(ex, n, 8), n, beta) for n in range(9)]
         for n in range(9):
-            un = beta_u_transform(us[n], n, beta)
-            qn = beta_q_transform(q_series(ex, n, 8), n, beta)
-            for i in range(9):
-                for j in range(min(n, 8) + 1):
-                    grid[i][j] += qn.coeffs[i] * un.coeff(j)
-        for i in range(9):
-            for j in range(9):
-                want = Q(1) if i == j else Q(0)
-                if grid[i][j] != want:
-                    fails.append("resolvent sum beta=%s at x^%d phi^%d" % (beta, i, j))
+            yield "u transform beta=%s n=%d" % (beta, n), u_images[n], lag_us[n]
+        for n in range(5):
+            yield ("q transform beta=%s n=%d" % (beta, n), q_images[n],
+                   q_series(lag, n, 8))
+        # entry (i, j) is sum over n of [x^i] q_n times [phi^j] u_n
+        resolvent = (FinMatrix([[q.coeffs[i] for q in q_images] for i in range(9)])
+                     * FinMatrix([[u.coeff(j) for j in range(9)] for u in u_images]))
+        yield "resolvent sum beta=%s" % beta, resolvent, FinMatrix.identity(9)
     rng2 = ctx.rng("section5-tables")
     for trial in range(5):
         b = _rand_weight(rng2, 10)
@@ -1083,16 +977,14 @@ def _chk_section5(ctx):
             image_b = table_row(b, a, phi, v, 0, 8)
             image_a = gen_lagrange_series(a, v * phi, 9)
             for k in range(-2, 3):
-                back = table_row(image_b, image_a, phi, -v, k, 8)
-                _neq(fails, "round trip trial=%d v=%d k=%d" % (trial, v, k),
-                     back, (b * a.pow(phi * k)).truncate(8))
+                yield ("round trip trial=%d v=%d k=%d" % (trial, v, k),
+                       table_row(image_b, image_a, phi, -v, k, 8),
+                       (b * a.pow(phi * k)).truncate(8))
     b = Series.one(12)
     am = Series.from_poly([1, -1], 12)
     for k in range(-8, 9):
-        row = table_row(b, am, -1, 1, k, 8)
         want = Series([am.pow(Q(-1) * (k + n)).coeffs[n] for n in range(9)], 8)
-        _neq(fails, "ascending diagonal k=%d" % k, row, want)
-    return fails
+        yield "ascending diagonal k=%d" % k, table_row(b, am, -1, 1, k, 8), want
 
 
 _CHECKS = [
@@ -1146,10 +1038,9 @@ CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 def run_suite(suite: str = "all", max_n: int = 8, betas=DEFAULT_BETAS,
               seed: int = DEFAULT_SEED) -> Report:
-    """Run one named check or the whole battery.  ``max_n`` must be at
-    least 1: below that most checks would compare nothing and pass."""
-    if max_n < 1:
-        raise DomainError("max_n must be at least 1, got %d" % max_n)
+    """Run one named check or the whole battery.  ``max_n`` must be an
+    int of at least 1 and ``seed`` an int; each beta must be an exact
+    rational.  A check that makes no comparison fails."""
     ctx = _Ctx(max_n, betas, seed)
     table = dict(_CHECKS)
     if suite == "all":
@@ -1161,10 +1052,18 @@ def run_suite(suite: str = "all", max_n: int = 8, betas=DEFAULT_BETAS,
                        % (suite, ", ".join(CHECK_NAMES)))
     report = Report(suite)
     for name in names:
+        fails, count = [], 0
         try:
-            fails = table[name](ctx)
+            for label, got, want in table[name](ctx):
+                count += 1
+                diff = _mismatch(got, want)
+                if diff is not None:
+                    fails.append("%s: %s" % (label, diff))
         except Exception as err:  # a crash is a failure with a payload
             fails = ["raised %s: %s" % (type(err).__name__, err)]
+        else:
+            if not count:
+                fails = ["no comparisons made"]
         detail = "; ".join(fails[:4])
         if len(fails) > 4:
             detail += "; and %d more" % (len(fails) - 4)

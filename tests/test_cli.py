@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -251,3 +252,54 @@ def test_verify_rejects_vacuous_max_n(capsys, max_n):
 def test_run_suite_rejects_vacuous_max_n():
     with pytest.raises(DomainError):
         run_suite("thm2.1", max_n=0)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"max_n": 2.0}, "max_n must be at least 1, got 2.0"),
+    ({"max_n": Fraction(2)}, "max_n must be at least 1, got Fraction(2, 1)"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+])
+def test_run_suite_rejects_inexact_max_n_and_seed(kw, message):
+    with pytest.raises(DomainError) as exc:
+        run_suite("thm2.1", **kw)
+    assert str(exc.value) == message
+
+
+def test_run_suite_rejects_float_betas():
+    with pytest.raises(TypeError, match="not an exact rational"):
+        run_suite("thm6.1", betas=(0.1,))
+
+
+def test_run_suite_compares_words_and_counts(monkeypatch):
+    import riordan.verify as verify
+
+    def six_wrong(ctx):
+        for k in range(6):
+            yield "k=%d" % k, k, k + 1
+
+    def raises_after_a_wrong_one(ctx):
+        yield "first", 1, 2
+        raise ValueError("boom")
+
+    monkeypatch.setattr(verify, "_CHECKS", [
+        ("six-wrong", six_wrong),
+        ("raises", raises_after_a_wrong_one),
+        ("empty", lambda ctx: iter(())),
+        ("right", lambda ctx: iter([("one", [1, 2], [1, 2])])),
+    ])
+    results = [run_suite(name).results[0]
+               for name in ("six-wrong", "raises", "empty", "right")]
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("six-wrong", False, "k=0: got 0, want 1; k=1: got 1, want 2; "
+                             "k=2: got 2, want 3; k=3: got 3, want 4; and 2 more"),
+        ("raises", False, "raised ValueError: boom"),
+        ("empty", False, "no comparisons made"),
+        ("right", True, ""),
+    ]
+
+
+def test_checks_with_nothing_to_compare_at_max_n_1_fail():
+    # thm8.1, thm9.1 and thm9.4 start at n = 2; thm4.4 needs n = 2 for the
+    # perturbed series to break the symmetry
+    failed = [r.name for r in run_suite("all", max_n=1).results if not r.passed]
+    assert failed == ["thm4.4", "thm8.1", "thm9.1", "thm9.4"]
