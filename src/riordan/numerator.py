@@ -6,30 +6,36 @@ denominator (1-x)^(2n+1) and numerator h_n.  Both extractions verify a
 window of higher coefficients is exactly zero before returning.
 
 Every self-check here (that window, the degree of h_n, the two routes to
-S, Sinv and W, the strips of Ft and St) goes through ``fps.agree``.  On
-a mismatch its ConsistencyError names the route, n (and m for W) and the
-first coefficient, entry or index that differs, with both values, e.g.
-``"Sinv: product against closed form (n=3): entry (0, 0): got 1/6, want
-1/3"``.
+S, Sinv and W, the strips behind the tilde matrices) goes through
+``fps.agree``.  On a mismatch its ConsistencyError names the route, n
+(and m for W) and the first coefficient, entry or index that differs,
+with both values, e.g. ``"Sinv: product against closed form (n=3):
+entry (0, 0): got 1/6, want 1/3"``.
 
 The matrix constructors reproduce the operator families that transport
 these numerators: U, V, J, argument shifts, F, S, C, their order-n
 "tilde" companions acting on numerators with the leading x removed, the
-carry-process matrices W, and the strided-window construction.
+carry-process matrices W, and the strided-window construction.  Each
+matrix has one builder.  A tilde companion other than Jt and Dt is the
+strip of its order-n parent (Ut of U, Utinv of Uinv, Vt of V, Ft of F,
+Ftinv of Finv, St of S, Ct of C): the parent's first row must vanish
+past its first entry, and its first row and column are removed.  Jt is
+J(n-1) and Dt is diag(1..n).  Euler extraction applies Vinv to a row,
+and the argument shift has the one builder ``shift_matrix``.
 
-``core_matrix``, ``exp_matrix`` and ``tilde_matrix`` depend only on their
-arguments, so they are memoized with ``functools.lru_cache``: the
-matrix built for a given (kind, n) serves every later request for it,
-and ``cache_clear()`` empties the memo.  Sharing one object is safe
-because ``FinMatrix`` is immutable.  A self-check inside a memoized
-constructor (the two routes to S and Sinv, the strip checks of Ft and
-St) therefore runs once per key per process, and a hit returns a matrix
-that has passed it.  A call that raises stores nothing, so it raises
-again next time.  The keys are typed: an n of 2.0 or Fraction(2) does
-not hit the entry built for 2, and raises ``DomainError`` as any
-non-int order does.  An unhashable argument fails in the memo itself
-with ``TypeError``.  ``W_matrix`` and the numerator extractions are not
-memoized and verify on every call.
+``core_matrix``, ``exp_matrix``, ``tilde_matrix`` and ``W_matrix``
+depend only on their arguments, so they are memoized with
+``functools.lru_cache``: the matrix built for a given key serves every
+later request for it, and ``cache_clear()`` empties the memo.  Sharing
+one object is safe because ``FinMatrix`` is immutable.  A self-check
+inside a memoized constructor (the two routes to S, Sinv and W, the
+strip checks of the tilde matrices) therefore runs once per key per
+process, and a hit returns a matrix that has passed it.  A call that
+raises stores nothing, so it raises again next time.  The keys are
+typed: an n of 2.0 or Fraction(2) does not hit the entry built for 2,
+and raises ``DomainError`` as any non-int order does.  An unhashable
+argument fails in the memo itself with ``TypeError``.  Only the
+numerator extractions are not memoized; they verify on every call.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .fps import DomainError, Poly, Q, RangeError, Series, _count, _q, agree
 from .matrix import FinMatrix
 
 _ONE_MINUS_X = Poly([1, -1])
-_X = Poly([0, 1])
 
 
 @dataclass(frozen=True)
@@ -86,8 +91,7 @@ def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
     if min(b.order, a.order) < 2 * n + 2:
         raise RangeError("series order must be at least 2n+2")
     row = RiordanArray(b.truncate(n), a.truncate(n) - 1).row(n)
-    g = sum((w * Poly.monomial(m) * _ONE_MINUS_X ** (n - m)
-             for m, w in enumerate(row) if w != 0), Poly.zero(n))
+    g = core_matrix("Vinv", n).apply(Poly(row.entries, n))
     _check_residual(_square_row(b, a, n), n + 1, g, n)
     return NumeratorResult(g, n + 1)
 
@@ -128,12 +132,9 @@ def phi_poly(a: Series, n: int) -> Poly:
 
 
 @lru_cache(maxsize=None, typed=True)
-def core_matrix(kind: str, n: int, phi=None) -> FinMatrix:
-    """The order-n operator matrices U, Uinv, V, Vinv, J and the
-    argument-shift E (which needs its shift parameter)."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("matrix order must be a nonnegative integer")
-    size = n + 1
+def core_matrix(kind: str, n: int) -> FinMatrix:
+    """The order-n operator matrices U, Uinv, V, Vinv and J."""
+    size = _count("n", n) + 1
     if kind == "U":
         cols = [Q(1, factorial(n)) * _ONE_MINUS_X ** (n - p) * exact.eulerian_poly(p)
                 for p in range(size)]
@@ -150,10 +151,6 @@ def core_matrix(kind: str, n: int, phi=None) -> FinMatrix:
         return FinMatrix.from_columns(cols, size)
     if kind == "J":
         return FinMatrix([[Q(int(i + j == n)) for j in range(size)] for i in range(size)])
-    if kind == "E":
-        if phi is None:
-            raise DomainError("the shift matrix needs its shift parameter")
-        return shift_matrix(phi, size)
     raise DomainError("unknown core matrix kind %r" % (kind,))
 
 
@@ -198,18 +195,6 @@ def mult_op(series, rows: int, cols: int) -> FinMatrix:
     return FinMatrix(data)
 
 
-def _f_column(n: int, p: int) -> Poly:
-    """(1-x)^(2n+1) * sum(m^p * C(m+n, n) x^m) as a degree <= n polynomial."""
-    out = []
-    for k in range(n + 1):
-        acc = Q(0)
-        for j in range(min(k, 2 * n + 1) + 1):
-            m = k - j
-            acc += Q(-1) ** j * comb(2 * n + 1, j) * Q(m) ** p * comb(m + n, n)
-        out.append(acc)
-    return Poly(out, n)
-
-
 @lru_cache(maxsize=None, typed=True)
 def exp_matrix(kind: str, n: int) -> FinMatrix:
     """The exponential-side families F, Finv, S, Sinv and the diagonal C.
@@ -217,11 +202,13 @@ def exp_matrix(kind: str, n: int) -> FinMatrix:
     S and Sinv come out of both their product definition and their
     closed forms, held against each other by :func:`agree`.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("exponential-family matrices need an integer n >= 1")
-    size = n + 1
+    size = _count("n", n, 1) + 1
     if kind == "F":
-        return FinMatrix.from_columns([_f_column(n, p) for p in range(size)], size)
+        # column p: (1-x)^(2n+1) * sum(m^p * C(m+n, n) x^m) through x^n
+        window = Series((_ONE_MINUS_X ** (2 * n + 1)).coeffs[:size], n)
+        cols = [(Series([m ** p * comb(m + n, n) for m in range(size)], n) * window).coeffs
+                for p in range(size)]
+        return FinMatrix.from_columns(cols, size)
     if kind == "Finv":
         scale = Q(factorial(n), factorial(2 * n))
         cols = [scale * exact.falling_poly(p) * exact.rising_from(n + 1, n - p)
@@ -260,36 +247,23 @@ def _strip(m: FinMatrix, what: str, n: int) -> FinMatrix:
     return m.minor()
 
 
+# the parent of each tilde kind but Jt and Dt: the tilde matrix is its strip
+_TILDE_PARENTS = {"Ut": (core_matrix, "U"), "Utinv": (core_matrix, "Uinv"),
+                  "Vt": (core_matrix, "V"), "Ft": (exp_matrix, "F"),
+                  "Ftinv": (exp_matrix, "Finv"), "St": (exp_matrix, "S"),
+                  "Ct": (exp_matrix, "C")}
+
+
 @lru_cache(maxsize=None, typed=True)
 def tilde_matrix(kind: str, n: int) -> FinMatrix:
-    """Order-n companions acting on numerators with the leading x removed."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("tilde matrices need an integer n >= 1")
-    if kind == "Ut":
-        cols = []
-        for p in range(n):
-            tilde_a = exact.eulerian_poly(p + 1).divexact(_X)
-            cols.append(Q(1, factorial(n)) * _ONE_MINUS_X ** (n - 1 - p) * tilde_a)
-        return FinMatrix.from_columns(cols, n)
-    if kind == "Utinv":
-        cols = [exact.falling_from(-1, p) * exact.rising_from(1, n - p - 1)
-                for p in range(n)]
-        return FinMatrix.from_columns(cols, n)
-    if kind == "Vt":
-        return core_matrix("V", n - 1)
+    """Order-n companions acting on numerators with the leading x removed:
+    the strip of the order-n parent, except Jt = J(n-1) and Dt = diag(1..n)."""
+    _count("n", n, 1)
+    if kind in _TILDE_PARENTS:
+        ctor, parent = _TILDE_PARENTS[kind]
+        return _strip(ctor(parent, n), parent, n)
     if kind == "Jt":
         return core_matrix("J", n - 1)
-    if kind == "Ft":
-        return _strip(exp_matrix("F", n), "F", n)
-    if kind == "Ftinv":
-        scale = Q(factorial(n), factorial(2 * n))
-        cols = [scale * exact.falling_from(-1, p) * exact.rising_from(n + 1, n - p - 1)
-                for p in range(n)]
-        return FinMatrix.from_columns(cols, n)
-    if kind == "St":
-        return _strip(exp_matrix("S", n), "S", n)
-    if kind == "Ct":
-        return FinMatrix.diag([Q(factorial(n + p + 1), factorial(p + 1)) for p in range(n)])
     if kind == "Dt":
         return FinMatrix.diag([Q(p + 1) for p in range(n)])
     raise DomainError("unknown tilde matrix kind %r" % (kind,))
@@ -298,8 +272,8 @@ def tilde_matrix(kind: str, n: int) -> FinMatrix:
 def strided_matrix(a: Series, m: int, rows: int) -> FinMatrix:
     """Square window of the stride-m row re-reading of (a, x): row p holds
     coefficients m*p+m-1, m*p+m-2, ... with zeros below index 0."""
-    if not (isinstance(m, int) and isinstance(rows, int)) or m < 1 or rows < 1:
-        raise DomainError("stride and row count must be positive integers")
+    _count("m", m, 1)
+    _count("rows", rows, 1)
     if a.order < m * rows + m:
         raise RangeError("series order must be at least m*rows + m")
     data = []
@@ -310,6 +284,7 @@ def strided_matrix(a: Series, m: int, rows: int) -> FinMatrix:
     return FinMatrix(data)
 
 
+@lru_cache(maxsize=None, typed=True)
 def W_matrix(n: int, m: int) -> FinMatrix:
     """Carry-process matrices, built two independent ways.
 
@@ -317,8 +292,8 @@ def W_matrix(n: int, m: int) -> FinMatrix:
     connection matrices must agree with the strided window of
     ((1-x^m)/(1-x))^(n+1), held against it by :func:`agree`.
     """
-    if not (isinstance(n, int) and isinstance(m, int)) or n < 1 or m < 1:
-        raise DomainError("W needs integers n >= 1 and m >= 1")
+    _count("n", n, 1)
+    _count("m", m, 1)
     dil = FinMatrix.diag([Q(m) ** (j + 1) for j in range(n)])
     conj = tilde_matrix("Ut", n) * dil * tilde_matrix("Utinv", n)
     window = Poly([1] * m) ** (n + 1)

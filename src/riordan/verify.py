@@ -902,7 +902,7 @@ def _chk_eq1(ctx):
 def _chk_w_amazing(ctx):
     top = min(6, ctx.max_n)
     for n in range(1, top + 1):
-        jt = tilde_matrix("Jt", n) if n >= 2 else FinMatrix.identity(1)
+        jt = tilde_matrix("Jt", n)
         vt = tilde_matrix("Vt", n)
         a_t = exact.eulerian_poly(n).divexact(Poly([0, 1])).with_bound(n - 1)
         for m in range(1, 5):

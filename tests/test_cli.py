@@ -229,6 +229,21 @@ def test_bad_beta_is_usage_error(capsys, kind, beta):
     assert "Traceback" not in err
 
 
+# every constructor words a zero order through the one count check
+@pytest.mark.parametrize("argv, message", [
+    (("matrix", "F", "--n", "0"), "n must be a positive integer, got 0"),
+    (("matrix", "Ut", "--n", "0"), "n must be a positive integer, got 0"),
+    (("matrix", "Dt", "--n", "0"), "n must be a positive integer, got 0"),
+    (("matrix", "W", "--n", "0", "--m", "2"), "n must be a positive integer, got 0"),
+    (("matrix", "W", "--n", "2", "--m", "0"), "m must be a positive integer, got 0"),
+    (("matrix", "G", "--n", "0", "--beta", "1"), "n must be a positive integer, got 0"),
+])
+def test_zero_orders_are_one_line_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_consistency_error_is_one_line(capsys, monkeypatch):
     import riordan.cli as cli
 

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 
@@ -177,7 +178,7 @@ def test_shift_matrix_is_taylor_shift():
     for n in range(1, 6):
         c = Poly([Q(rng.randint(-4, 4)) for _ in range(n + 1)], n)
         phi = Q(rng.randint(-3, 3), rng.randint(1, 3))
-        got = core_matrix("E", n, phi).apply(c)
+        got = shift_matrix(phi, n + 1).apply(c)
         assert got == c.shift(phi)
 
 
@@ -205,20 +206,28 @@ def test_tilde_matrix_fixtures():
                 == FinMatrix.identity(n))
 
 
-def test_tilde_matrices_are_stripped_parents():
-    # removing the first row and column of the order-n parents gives the
-    # tilde companions, including the inverses
-    for n in range(2, 7):
-        parent = core_matrix("U", n)
-        assert tilde_matrix("Ut", n) == parent.minor()
-        assert tilde_matrix("Utinv", n) == core_matrix("Uinv", n).minor()
-        assert tilde_matrix("Ftinv", n) == exp_matrix("Finv", n).minor()
-        assert tilde_matrix("St", n) == exp_matrix("S", n).minor()
+def test_tilde_matrices_match_their_closed_forms():
+    # the tilde companions are built as strips of their parents; these are
+    # their closed forms, acting on numerators with the leading x removed
+    one_minus_x = Poly([1, -1])
+    for n in range(1, 9):
+        ut = [Q(1, factorial(n)) * one_minus_x ** (n - 1 - p)
+              * exact.eulerian_poly(p + 1).divexact(Poly([0, 1])) for p in range(n)]
+        utinv = [exact.falling_from(-1, p) * exact.rising_from(1, n - p - 1)
+                 for p in range(n)]
+        ftinv = [Q(factorial(n), factorial(2 * n)) * exact.falling_from(-1, p)
+                 * exact.rising_from(n + 1, n - p - 1) for p in range(n)]
+        vt = [Poly.monomial(p) * Poly([1, 1]) ** (n - 1 - p) for p in range(n)]
+        assert tilde_matrix("Ut", n) == FinMatrix.from_columns(ut, n)
+        assert tilde_matrix("Utinv", n) == FinMatrix.from_columns(utinv, n)
+        assert tilde_matrix("Ftinv", n) == FinMatrix.from_columns(ftinv, n)
+        assert tilde_matrix("Vt", n) == FinMatrix.from_columns(vt, n)
+        assert tilde_matrix("Ct", n) == FinMatrix.diag(
+            [Q(factorial(n + p + 1), factorial(p + 1)) for p in range(n)])
 
 
 def test_ftinv_product_representation():
     # (x+n, x)^{-1} E^{-1} Finv restricted to the leading n columns
-    from riordan.numerator import shift_matrix
     for n in range(2, 7):
         finv = exp_matrix("Finv", n)
         shifted = shift_matrix(-1, n + 1) * finv
@@ -357,8 +366,10 @@ def test_vanishing_linear_coefficient_supported():
     assert h.poly.eval(1) == 0
 
 
-_MEMOIZED = [(core_matrix, CORE_KINDS), (exp_matrix, EXP_KINDS),
-             (tilde_matrix, TILDE_KINDS)]
+_MEMOIZED = [(core_matrix, [(kind, n) for kind in CORE_KINDS for n in range(1, 9)]),
+             (exp_matrix, [(kind, n) for kind in EXP_KINDS for n in range(1, 9)]),
+             (tilde_matrix, [(kind, n) for kind in TILDE_KINDS for n in range(1, 9)]),
+             (W_matrix, [(n, m) for n in range(1, 7) for m in range(1, 5)])]
 
 
 def _clear_memos():
@@ -367,12 +378,11 @@ def _clear_memos():
 
 
 def test_memoized_constructors_match_fresh_builds():
-    for ctor, kinds in _MEMOIZED:
-        for kind in kinds:
-            for n in range(1, 9):
-                cached = ctor(kind, n)
-                assert ctor(kind, n) is cached
-                assert ctor.__wrapped__(kind, n) == cached
+    for ctor, keys in _MEMOIZED:
+        for args in keys:
+            cached = ctor(*args)
+            assert ctor(*args) is cached
+            assert ctor.__wrapped__(*args) == cached
 
 
 def test_memo_keys_are_typed():
