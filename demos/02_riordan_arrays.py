@@ -44,6 +44,6 @@ cat = gen_binomial_series(2, 1, order)
 square = RiordanArray(Series.one(order), cat, SQUARE)
 tri = RiordanArray(Series.one(order), cat.mul_x().truncate(order))
 print("row 2 of the square Catalan array:",
-      " ".join(str(c) for c in square.row(2).entries[:6]))
+      " ".join(str(c) for c in square.row(2)[:6]))
 print("diagonal 2 of its triangle:      ",
-      " ".join(str(c) for c in tri.diagonal(2).entries[:6]))
+      " ".join(str(c) for c in tri.diagonal(2)[:6]))

@@ -6,14 +6,14 @@ binomial and Lagrange series, with a verification battery reproducing
 every printed value the library is built around.
 """
 
-from .arrays import (DIAGONAL, EXPONENTIAL, ORDINARY, ROW, SQUARE, COLUMN,
-                     RiordanArray, TriangleSlice, lagrange_pair, table_row)
+from .arrays import (EXPONENTIAL, ORDINARY, SQUARE, RiordanArray,
+                     lagrange_pair, table_row)
 from .exact import (binom, eulerian_poly, falling, falling_from, falling_poly,
                     rising, rising_from, rising_poly, stirling1, stirling2)
 from .fps import (ConsistencyError, DomainError, PoleError, Poly, Q,
                   RangeError, Series, xdlog)
-from .genlagrange import (TPoly, beta_alpha_closed, beta_matrix,
-                          beta_phi_closed, beta_q_transform, beta_u_transform,
+from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
+                          beta_q_transform, beta_u_transform,
                           gen_binomial_series, gen_lagrange_series, q_series,
                           t_poly, u_polys)
 from .matrix import FinMatrix
@@ -27,9 +27,9 @@ from .verify import (CHECK_NAMES, DEFAULT_BETAS, DEFAULT_SEED, CheckResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Q", "Series", "Poly", "FinMatrix", "RiordanArray", "TriangleSlice",
-    "TPoly", "NumeratorResult", "CheckResult", "Report",
-    "ORDINARY", "EXPONENTIAL", "SQUARE", "ROW", "COLUMN", "DIAGONAL",
+    "Q", "Series", "Poly", "FinMatrix", "RiordanArray",
+    "NumeratorResult", "CheckResult", "Report",
+    "ORDINARY", "EXPONENTIAL", "SQUARE",
     "DomainError", "RangeError", "ConsistencyError", "PoleError",
     "binom", "falling", "rising", "falling_poly", "rising_poly",
     "falling_from", "rising_from", "stirling1", "stirling2", "eulerian_poly",

@@ -6,11 +6,14 @@ conjugates by the diagonal 1/n! matrix, so its (n, m) entry carries an
 extra n!/m!.  A square pair (b, a) with a(0) = 1 is the full matrix
 whose column m has generating function b*a^m; its row n equals the
 n-th descending diagonal of (b, x*a).
+
+Rows, columns and diagonals are plain tuples of Fractions.  Rows and
+diagonals are read off the walk f, f*g, f*g^2, ... of ``_powers``, the
+one place that steps through the column series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -20,25 +23,14 @@ ORDINARY = "ordinary"
 EXPONENTIAL = "exponential"
 SQUARE = "square"
 
-ROW = "row"
-COLUMN = "column"
-DIAGONAL = "diagonal"
 
-
-@dataclass(frozen=True)
-class TriangleSlice:
-    entries: tuple
-    kind: str
-    index: int
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, k):
-        return self.entries[k]
+def _powers(f: Series, g: Series, count: int) -> list:
+    """f, f*g, ..., f*g^(count-1): the first ``count`` column series of
+    the pair (f, g), one product per step."""
+    powers = [f]
+    while len(powers) < count:
+        powers.append(powers[-1] * g)
+    return powers[:count]
 
 
 class RiordanArray:
@@ -86,55 +78,34 @@ class RiordanArray:
         p = self.f.truncate(n) * self.g.truncate(n).pow(m)
         return self._weight(n, m) * p.coeffs[n]
 
-    def row(self, n: int) -> TriangleSlice:
+    def row(self, n: int) -> tuple:
         """Row n: length n+1 for triangular flavors, order+1 for square."""
         _count("row index", n)
         if n > self.order:
             raise RangeError("row %d beyond order %d" % (n, self.order))
         top = n if self.flavor != SQUARE else self.order
-        f, g = self.f.truncate(n), self.g.truncate(n)
-        out = []
-        p = f
-        for m in range(top + 1):
-            out.append(self._weight(n, m) * p.coeffs[n])
-            if m < top:
-                p = p * g
-        return TriangleSlice(tuple(out), ROW, n)
+        cols = _powers(self.f.truncate(n), self.g.truncate(n), top + 1)
+        return tuple(self._weight(n, m) * p.coeffs[n] for m, p in enumerate(cols))
 
     def row_poly(self, n: int) -> Poly:
-        s = self.row(n)
-        return Poly(list(s.entries), len(s.entries) - 1)
+        row = self.row(n)
+        return Poly(row, len(row) - 1)
 
-    def column(self, m: int) -> TriangleSlice:
-        """Column m materialized to the array order."""
+    def column(self, m: int) -> tuple:
+        """Column m, through row ``order``."""
         _count("column index", m)
         if self.flavor != SQUARE and m > self.order:
             raise RangeError("column %d beyond order %d" % (m, self.order))
         p = self.f * self.g.pow(m)
-        out = [self._weight(n, m) * p.coeffs[n] for n in range(self.order + 1)]
-        return TriangleSlice(tuple(out), COLUMN, m)
+        return tuple(self._weight(n, m) * p.coeffs[n] for n in range(self.order + 1))
 
-    def diagonal(self, n: int) -> TriangleSlice:
+    def diagonal(self, n: int) -> tuple:
         """Descending diagonal n: entries (n+m, m) for m = 0..order-n."""
         _count("diagonal index", n)
         if n > self.order:
             raise RangeError("diagonal %d beyond order %d" % (n, self.order))
-        out = []
-        p = self.f
-        for m in range(self.order - n + 1):
-            out.append(self._weight(n + m, m) * p.coeffs[n + m])
-            if m < self.order - n:
-                p = p * self.g
-        return TriangleSlice(tuple(out), DIAGONAL, n)
-
-    def materialize(self, kind: str, n: int) -> TriangleSlice:
-        if kind == ROW:
-            return self.row(n)
-        if kind == COLUMN:
-            return self.column(n)
-        if kind == DIAGONAL:
-            return self.diagonal(n)
-        raise ValueError("unknown slice kind %r" % (kind,))
+        cols = _powers(self.f, self.g, self.order - n + 1)
+        return tuple(self._weight(n + m, m) * p.coeffs[n + m] for m, p in enumerate(cols))
 
     # -- group structure ---------------------------------------------------
 
@@ -185,6 +156,9 @@ def table_row(b: Series, a: Series, phi, v: int, k: int, order: int) -> Series:
     """
     phi = _q(phi)
     _count("order", order)
+    for name, value in (("v", v), ("k", k)):
+        if not isinstance(value, int):
+            raise DomainError("%s must be an integer, got %r" % (name, value))
     if a.coeffs[0] != 1:
         raise DomainError("table_row needs a(0) = 1")
     if b.coeffs[0] == 0:

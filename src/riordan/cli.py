@@ -2,14 +2,14 @@
 
 All output is exact and deterministic: rationals render as "p/q" (just
 "p" for integers), matrices row-major.  The default truncation order is
-16, overridable through the RIORDAN_ORDER_DEFAULT environment variable.
+16.  Nothing is read from the environment, so identical invocations print
+identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -52,19 +52,6 @@ def _rational(text: str) -> Fraction:
         return Q(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("not a rational: %r" % text) from None
-
-
-def default_order() -> int:
-    raw = os.environ.get("RIORDAN_ORDER_DEFAULT")
-    if raw is None:
-        return 16
-    try:
-        value = int(raw)
-    except ValueError as err:
-        raise DomainError("RIORDAN_ORDER_DEFAULT must be an integer") from err
-    if value < 0:
-        raise DomainError("RIORDAN_ORDER_DEFAULT must be nonnegative")
-    return value
 
 
 # -- rendering ----------------------------------------------------------------
@@ -121,9 +108,8 @@ def poly_str(poly: Poly) -> str:
 
 
 def _cmd_series(args) -> int:
-    order = args.order if args.order is not None else default_order()
-    series = parse_series(args.expr, order)
-    meta = {"expr": args.expr, "order": order}
+    series = parse_series(args.expr, args.order)
+    meta = {"expr": args.expr, "order": args.order}
     print(render_series(series.coeffs, args.format, meta))
     return 0
 
@@ -172,7 +158,7 @@ def _cmd_numerator(args) -> int:
         needed = 2 * n + 2
     else:
         needed = 2 * (2 * n + 1)
-    order = max(args.order if args.order is not None else default_order(), needed)
+    order = max(args.order, needed)
     a = parse_series(args.a, order)
     b = parse_series(args.b, order)
     if args.family in ("alpha", "phi") and b != Series.one(order):
@@ -243,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="expand a series expression")
     p_series.add_argument("expr", help="expression, e.g. '1/(1-x)' or 'catalan'")
-    p_series.add_argument("--order", type=_nonneg_int, default=None)
+    p_series.add_argument("--order", type=_nonneg_int, default=16)
     p_series.add_argument("--format", choices=("text", "csv", "json"),
                           default="text")
     p_series.set_defaults(func=_cmd_series)
@@ -263,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_num.add_argument("--b", default="1", help="weight series expression")
     p_num.add_argument("--a", required=True, help="column series expression")
     p_num.add_argument("--n", type=_nonneg_int, required=True)
-    p_num.add_argument("--order", type=_nonneg_int, default=None,
+    p_num.add_argument("--order", type=_nonneg_int, default=16,
                        help="evaluation order (raised to the minimum the "
                             "extraction needs)")
     p_num.add_argument("--format", choices=("text", "csv", "json"),

@@ -93,7 +93,7 @@ the same comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, isqrt, lcm
+from math import factorial, isqrt, lcm
 from operator import mul
 
 Q = Fraction
@@ -105,7 +105,7 @@ class DomainError(ValueError):
 
 
 class RangeError(IndexError):
-    """An index or truncation order is outside the materialized range."""
+    """An index or truncation order is outside the computed range."""
 
 
 class ConsistencyError(ArithmeticError):
@@ -372,21 +372,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def shift(self, phi) -> "Poly":
-        """Argument shift c(x) -> c(x + phi), exact for rational phi."""
-        phi = _q(phi)
-        if phi == 0:
-            return Poly(self.coeffs, self.bound)
-        out = [Q(0)] * (self.bound + 1)
-        for i in range(self.bound + 1):
-            acc = Q(0)
-            p = Q(1)
-            for j in range(i, self.bound + 1):
-                acc += self.coeffs[j] * comb(j, i) * p
-                p *= phi
-            out[i] = acc
-        return Poly(out, self.bound)
 
     def reverse(self) -> "Poly":
         """Coefficient reversal relative to the declared bound."""

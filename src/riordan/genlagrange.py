@@ -45,11 +45,11 @@ transform: row polynomial u(0) against 0 (n=1, beta=1): got 1, want
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from . import exact
+from .arrays import EXPONENTIAL, RiordanArray, _powers
 from .fps import (DomainError, PoleError, Poly, Q, RangeError, Series, _count, _q,
                   agree)
 from .matrix import FinMatrix
@@ -83,15 +83,9 @@ def u_polys(a: Series, top: int):
         raise DomainError("needs a(0) = 1")
     if a.order < top:
         raise RangeError("series order too small")
-    L = a.truncate(top).log()
-    rows = [[Q(0)] * (top + 1) for _ in range(top + 1)]
-    p = Series.one(top)
-    for j in range(top + 1):
-        for n in range(top + 1):
-            rows[n][j] = Q(factorial(n), factorial(j)) * p.coeffs[n]
-        if j < top:
-            p = p * L
-    return [Poly(rows[n][: n + 1], n) for n in range(top + 1)]
+    cols = _powers(Series.one(top), a.truncate(top).log(), top + 1)
+    return [Poly([Q(factorial(n), factorial(j)) * cols[j].coeffs[n] for j in range(n + 1)], n)
+            for n in range(top + 1)]
 
 
 def gen_lagrange_series(a: Series, beta, order: int) -> Series:
@@ -132,52 +126,41 @@ def q_series(a: Series, n: int, order: int) -> Series:
     if a.order < max(order, 1) or order < n:
         raise RangeError("series order too small")
     gbar = a.truncate(order).log().reversion()
-    p = gbar.pow(n)
-    fact_n = factorial(n)
-    return Series([Q(factorial(k), fact_n) * p.coeffs[k] for k in range(order + 1)],
-                  order)
+    return Series(RiordanArray(Series.one(order), gbar, EXPONENTIAL).column(n), order)
 
 
-@dataclass(frozen=True)
-class TPoly:
-    poly: Poly
-    phi: Fraction
-    beta_arg: Fraction
-    n: int
-
-
-def t_poly(n: int, phi, beta_arg) -> TPoly:
+def t_poly(n: int, phi, beta_arg) -> Poly:
     """sum over m of binom(phi, m) * binom(beta, n-m) * x^m."""
     phi, beta_arg = _q(phi), _q(beta_arg)
     coeffs = [exact.binom(phi, m) * exact.binom(beta_arg, n - m)
               for m in range(_count("n", n) + 1)]
-    return TPoly(Poly(coeffs, n), phi, beta_arg, n)
+    return Poly(coeffs, n)
 
 
 def beta_alpha_closed(n: int, beta) -> Poly:
     """(1/n) sum binom(n(1-beta), m-1) binom(n*beta, n-m) x^m, n >= 1."""
     _count("n", n, 1)
     beta = _q(beta)
-    return _X * t_poly(n - 1, n * (1 - beta), n * beta).poly * Q(1, n)
+    return _X * t_poly(n - 1, n * (1 - beta), n * beta) * Q(1, n)
 
 
 def beta_phi_closed(n: int, beta) -> Poly:
     """((n+1)!/n) sum binom(n(2-beta), m-1) binom(n*beta, n-m) x^m, n >= 1."""
     _count("n", n, 1)
     beta = _q(beta)
-    return _X * t_poly(n - 1, n * (2 - beta), n * beta).poly * Q(factorial(n + 1), n)
+    return _X * t_poly(n - 1, n * (2 - beta), n * beta) * Q(factorial(n + 1), n)
 
 
 def _g_closed(n: int, nb: Fraction) -> FinMatrix:
     """Column p is t_poly(n, p - n*beta, n*beta + n - p)."""
-    return FinMatrix.from_columns([t_poly(n, p - nb, nb + n - p).poly
+    return FinMatrix.from_columns([t_poly(n, p - nb, nb + n - p)
                                    for p in range(n + 1)], n + 1)
 
 
 def _band_closed(d: int, c: int, nb: Fraction) -> FinMatrix:
     """Column p is sum over m = p..d of C(d-p, d-m) t_m, with
     t_m = t_poly(m, m + c - n*beta, n*beta) (1-x)^(d-m) / C(m+c, m)."""
-    terms = [t_poly(m, m + c - nb, nb).poly * _ONE_MINUS_X ** (d - m) * Q(1, comb(m + c, m))
+    terms = [t_poly(m, m + c - nb, nb) * _ONE_MINUS_X ** (d - m) * Q(1, comb(m + c, m))
              for m in range(d + 1)]
     band = FinMatrix([[comb(d - p, d - m) for p in range(d + 1)] for m in range(d + 1)])
     return FinMatrix.from_columns(terms, d + 1) * band
@@ -239,7 +222,7 @@ def beta_u_transform(u: Poly, n: int, beta) -> Poly:
     if nb == 0:
         return Poly(u.coeffs, u.bound)
     agree("u transform: row polynomial u(0) against 0", u.coeff(0), Q(0), n=n, beta=beta)
-    return (u.shift(nb) * _X).divexact(Poly([nb, 1]))
+    return (shift_matrix(nb, u.bound + 1).apply(u) * _X).divexact(Poly([nb, 1]))
 
 
 def beta_q_transform(q: Series, n: int, beta) -> Series:

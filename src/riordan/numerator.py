@@ -77,7 +77,7 @@ def _check_residual(t, power: int, g: Poly, n: int):
 
 def _square_row(b: Series, a: Series, n: int) -> tuple:
     """[x^n] b*a^m for m = 0..2n+1: row n of the square array (b, a)."""
-    return RiordanArray(b.truncate(2 * n + 1), a.truncate(2 * n + 1), SQUARE).row(n).entries
+    return RiordanArray(b.truncate(2 * n + 1), a.truncate(2 * n + 1), SQUARE).row(n)
 
 
 def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
@@ -91,7 +91,7 @@ def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
     if min(b.order, a.order) < 2 * n + 2:
         raise RangeError("series order must be at least 2n+2")
     row = RiordanArray(b.truncate(n), a.truncate(n) - 1).row(n)
-    g = core_matrix("Vinv", n).apply(Poly(row.entries, n))
+    g = core_matrix("Vinv", n).apply(Poly(row, n))
     _check_residual(_square_row(b, a, n), n + 1, g, n)
     return NumeratorResult(g, n + 1)
 
@@ -170,29 +170,6 @@ def shift_matrix(phi, size: int) -> FinMatrix:
 def alt_matrix(size: int) -> FinMatrix:
     """Matrix of c(x) -> c(-x)."""
     return FinMatrix.diag([Q(-1) ** j for j in range(size)])
-
-
-def mult_op(series, rows: int, cols: int) -> FinMatrix:
-    """Multiplication by a series as a rows x cols band: entry (i, j) is
-    coefficient i-j."""
-
-    def c(k):
-        if k < 0:
-            return Q(0)
-        if isinstance(series, Series):
-            return series.coeffs[k] if k <= series.order else None
-        return series.coeff(k)
-
-    data = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            v = c(i - j)
-            if v is None:
-                raise RangeError("series order too small for the operator window")
-            row.append(v)
-        data.append(row)
-    return FinMatrix(data)
 
 
 @lru_cache(maxsize=None, typed=True)

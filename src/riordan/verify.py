@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 from . import exact
-from .arrays import EXPONENTIAL, RiordanArray, lagrange_pair, table_row
+from .arrays import EXPONENTIAL, RiordanArray, _powers, lagrange_pair, table_row
 from .fps import DomainError, Poly, Q, Series, _mismatch, _q, xdlog
 from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
                           beta_q_transform, beta_u_transform,
@@ -31,7 +31,7 @@ from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
 from .matrix import FinMatrix
 from .numerator import (W_matrix, _t_points, alpha_gf_check, alpha_poly,
                         alt_matrix, core_matrix, euler_numerator, exp_matrix,
-                        mult_op, narayana_numerator, phi_gf_check, phi_poly,
+                        narayana_numerator, phi_gf_check, phi_poly,
                         shift_matrix, strided_matrix, tilde_matrix)
 
 DEFAULT_BETAS = (Q(-2), Q(-1), Q(-1, 2), Q(1, 3), Q(1, 2), Q(1), Q(2), Q(3))
@@ -231,12 +231,16 @@ def _catalan(order: int) -> Series:
 
 
 def _reduce(mat: FinMatrix, m: int) -> FinMatrix:
-    """The s x s matrix ``mat`` carried down m orders: multiplication by
-    1/(1-x)^m as an (s-m) x s band, then ``mat``, then multiplication by
-    (1-x)^m as an s x (s-m) band."""
+    """The s x s matrix ``mat`` carried down m >= 1 orders: multiplication
+    by 1/(1-x)^m as an (s-m) x s band, then ``mat``, then multiplication by
+    (1-x)^m as an s x (s-m) band.  Entry (i, j) of a band is coefficient
+    k = i-j of its series: C(m-1+k, k) and (-1)^k C(m, k)."""
     s = mat.n_rows
-    return (mult_op(Series.geometric(s).pow(m), s - m, s) * mat
-            * mult_op(Poly([1, -1]) ** m, s, s - m))
+    down = FinMatrix([[comb(m - 1 + i - j, i - j) if i >= j else 0 for j in range(s)]
+                      for i in range(s - m)])
+    up = FinMatrix([[(-1) ** (i - j) * comb(m, i - j) if i >= j else 0 for j in range(s - m)]
+                    for i in range(s)])
+    return down * mat * up
 
 
 def _reflection(kind, first_n, reversal):
@@ -937,11 +941,8 @@ def _chk_section5(ctx):
     for trial in range(20):
         a = _rand_unit(rng, 11)
         b = lagrange_pair(a)
-        powers_b = [Series.one(11)]
-        powers_a = [Series.one(11)]
-        for _ in range(11):
-            powers_b.append(powers_b[-1] * b)
-            powers_a.append(powers_a[-1] * a)
+        powers_b = _powers(Series.one(11), b, 12)
+        powers_a = _powers(Series.one(11), a, 12)
         for m in range(1, 11):
             for n in range(0, 11 - m):
                 yield ("pair trial=%d n=%d m=%d" % (trial, n, m), powers_b[m].coeffs[n],

@@ -83,3 +83,13 @@ def test_criterion_6_asymmetric_counterexample():
 def test_named_property_suites():
     _run("w-amazing")
     _run("col-sums")
+
+
+def test_public_names_resolve():
+    # a name deleted from a module but left in __all__ would break both
+    import riordan
+    missing = [name for name in riordan.__all__ if not hasattr(riordan, name)]
+    assert missing == []
+    namespace = {}
+    exec("from riordan import *", namespace)
+    assert set(riordan.__all__) <= set(namespace)

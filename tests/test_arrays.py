@@ -1,12 +1,12 @@
 import random
+import re
 from fractions import Fraction as Q
 from math import comb
 
 import pytest
 
 from riordan import exact
-from riordan.arrays import (COLUMN, DIAGONAL, EXPONENTIAL, ROW, SQUARE, RiordanArray,
-                            lagrange_pair, table_row)
+from riordan.arrays import EXPONENTIAL, SQUARE, RiordanArray, lagrange_pair, table_row
 from riordan.fps import DomainError, Poly, RangeError, Series
 from riordan.genlagrange import gen_binomial_series
 
@@ -32,8 +32,7 @@ def rand_proper(rng, order):
 
 
 def test_pascal_row():
-    assert list(pascal(8).row(3)) == [1, 3, 3, 1]
-    assert list(pascal(8).materialize(ROW, 3)) == [1, 3, 3, 1]
+    assert pascal(8).row(3) == (1, 3, 3, 1)
 
 
 def test_exponential_pascal_row():
@@ -70,8 +69,8 @@ def test_square_bridge():
     square = RiordanArray(b, a, SQUARE)
     tri = RiordanArray(b, a.mul_x().truncate(8))
     for n in range(9):
-        d = tri.materialize(DIAGONAL, n).entries
-        assert square.row(n).entries[: len(d)] == d
+        d = tri.diagonal(n)
+        assert square.row(n)[: len(d)] == d
 
 
 def test_group_product_pascal_square():
@@ -177,9 +176,7 @@ SLICE_CALLS = {
     "entry-column": lambda a, k: a.entry(2, k),
     "column": lambda a, k: a.column(k),
     "diagonal": lambda a, k: a.diagonal(k),
-    "materialize-row": lambda a, k: a.materialize(ROW, k),
-    "materialize-column": lambda a, k: a.materialize(COLUMN, k),
-    "materialize-diagonal": lambda a, k: a.materialize(DIAGONAL, k),
+    "row": lambda a, k: a.row(k),
 }
 
 
@@ -219,6 +216,16 @@ def test_table_row_v_zero():
     a = rand_series(rng, 8, first=1)
     got = table_row(b, a, Q(1, 2), 0, 3, 8)
     assert got == b * a.pow(Q(3, 2))
+
+
+def test_table_row_rejects_non_integer_v_and_k():
+    a = Series.from_poly([1, 1], 6)
+    for v, k in ((Q(3, 2), 0), (1.5, 0), ("1", 0), (1.0, 0)):
+        with pytest.raises(DomainError, match=r"^v must be an integer, got %s$" % re.escape(repr(v))):
+            table_row(a, a, 1, v, k, 4)
+    for k in (Q(1, 2), -1.5, "1", 2.0):
+        with pytest.raises(DomainError, match=r"^k must be an integer, got %s$" % re.escape(repr(k))):
+            table_row(a, a, 1, 1, k, 4)
 
 
 def test_table_row_matches_diagonal_re_reading():

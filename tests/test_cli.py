@@ -26,19 +26,15 @@ def test_series_geometric_default_format(capsys):
     code, out, _ = run(capsys, "series", "1/(1-x)", "--order", "3")
     assert code == 0
     assert out.strip() == "1, 1, 1, 1"
+    code, out, _ = run(capsys, "series", "1/(1-x)")  # the default order is 16
+    assert code == 0
+    assert out.strip() == ", ".join(["1"] * 17)
 
 
 def test_series_genbin_half(capsys):
     code, out, _ = run(capsys, "series", "genbin(1/2, 1)", "--order", "3")
     assert code == 0
     assert out.strip() == "1, 1, 1/2, 1/8"
-
-
-def test_series_env_default_order(capsys, monkeypatch):
-    monkeypatch.setenv("RIORDAN_ORDER_DEFAULT", "2")
-    code, out, _ = run(capsys, "series", "1/(1-x)")
-    assert code == 0
-    assert out.strip() == "1, 1, 1"
 
 
 def test_series_parse_error(capsys):

@@ -298,13 +298,6 @@ def test_poly_reverse_uses_bound():
     assert p.reverse() == Poly([0, 0, 1, 0], 3)
 
 
-def test_poly_shift_exact():
-    p = Poly([0, 0, 1])  # x^2
-    assert p.shift(1) == Poly([1, 2, 1])
-    assert p.shift(Q(-1, 2)) == Poly([Q(1, 4), -1, 1])
-    assert p.shift(Q(1, 3)).shift(Q(-1, 3)) == p
-
-
 def test_poly_divexact():
     p = Poly([0, 2, 3, 1])  # x(x+1)(x+2)
     assert p.divexact(Poly([0, 1])) == Poly([2, 3, 1])
