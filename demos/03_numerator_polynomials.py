@@ -6,8 +6,8 @@ polynomial g_n of degree <= n; the exponential diagonal has denominator
 higher coefficients vanishes, so a bad input cannot slip through.
 """
 
-from riordan import (Series, alpha_gf_check, euler_numerator,
-                     gen_binomial_series, narayana_numerator, phi_gf_check)
+from riordan import (Series, euler_numerator, gen_binomial_series,
+                     narayana_numerator, run_suite)
 
 
 def poly_str(p):
@@ -39,8 +39,8 @@ print("the Catalan case collapses to monomials:")
 for n in range(1, 5):
     print("   n=%d: %s" % (n, poly_str(narayana_numerator(Series.one(cat_order), cat, n).poly)))
 
-print("generating identities in x and t, checked at n+1 points t for x^0..x^n:")
-print("   ordinary family of 1/(1-x), n=8:",
-      alpha_gf_check(Series.geometric(2 * 8 + 2), 8))
-print("   exponential family of 1/(1-x), n=6:",
-      phi_gf_check(Series.geometric(2 * (2 * 6 + 1)), 6))
+print("generating identities in x and t, compared at n+1 points t for x^0..x^n:")
+for suite, what in (("ex2.3", "ordinary family of 1/(1+x+x^2), n=8"),
+                    ("ex3.2", "exponential family of 1/(1-x), n=8")):
+    result = run_suite(suite).results[0]
+    print("   %s (%s): %s" % (what, suite, "passed" if result.passed else result.detail))

@@ -17,10 +17,9 @@ from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
                           gen_binomial_series, gen_lagrange_series, q_series,
                           t_poly, u_polys)
 from .matrix import FinMatrix
-from .numerator import (NumeratorResult, W_matrix, alpha_gf_check, alpha_poly,
-                        core_matrix, euler_numerator, exp_matrix,
-                        narayana_numerator, phi_gf_check, phi_poly,
-                        strided_matrix, tilde_matrix)
+from .numerator import (NumeratorResult, W_matrix, alpha_poly, core_matrix,
+                        euler_numerator, exp_matrix, narayana_numerator,
+                        phi_poly, strided_matrix, tilde_matrix)
 from .verify import (CHECK_NAMES, DEFAULT_BETAS, DEFAULT_SEED, CheckResult,
                      Report, run_suite)
 
@@ -35,7 +34,6 @@ __all__ = [
     "falling_from", "rising_from", "stirling1", "stirling2", "eulerian_poly",
     "xdlog", "lagrange_pair", "table_row",
     "euler_numerator", "narayana_numerator", "alpha_poly", "phi_poly",
-    "alpha_gf_check", "phi_gf_check",
     "core_matrix", "exp_matrix", "tilde_matrix", "W_matrix", "strided_matrix",
     "gen_binomial_series", "gen_lagrange_series", "q_series", "u_polys",
     "t_poly", "beta_alpha_closed", "beta_phi_closed", "beta_matrix",

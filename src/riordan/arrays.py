@@ -8,8 +8,8 @@ whose column m has generating function b*a^m; its row n equals the
 n-th descending diagonal of (b, x*a).
 
 Rows, columns and diagonals are plain tuples of Fractions.  Rows and
-diagonals are read off the walk f, f*g, f*g^2, ... of ``_powers``, the
-one place that steps through the column series.
+diagonals are read off the walk f, f*g, f*g^2, ... of ``fps._powers``,
+the one place that steps through the column series.
 """
 
 from __future__ import annotations
@@ -17,20 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .fps import DomainError, Poly, Q, RangeError, Series, _count, _q, xdlog
+from .fps import DomainError, Poly, Q, RangeError, Series, _count, _powers, _q, xdlog
 
 ORDINARY = "ordinary"
 EXPONENTIAL = "exponential"
 SQUARE = "square"
-
-
-def _powers(f: Series, g: Series, count: int) -> list:
-    """f, f*g, ..., f*g^(count-1): the first ``count`` column series of
-    the pair (f, g), one product per step."""
-    powers = [f]
-    while len(powers) < count:
-        powers.append(powers[-1] * g)
-    return powers[:count]
 
 
 class RiordanArray:

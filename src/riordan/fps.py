@@ -187,15 +187,28 @@ def _count(what: str, n, least: int = 0) -> int:
 
 def _power(base, k: int, one):
     """base ** k for an int k >= 0 by square-and-multiply, starting from
-    ``one``; the caller checks k and deals with its sign."""
-    out = one
+    ``base`` so that no product has the unit as an operand; ``one`` is
+    the answer for k = 0.  The caller checks k and deals with its sign."""
+    out = None
     while k:
         if k & 1:
-            out = out * base
+            out = base if out is None else out * base
         k >>= 1
         if k:
             base = base * base
-    return out
+    return one if out is None else out
+
+
+def _powers(f, g, count: int) -> list:
+    """f, f*g, ..., f*g^(count-1), one product per step: for series, the
+    first ``count`` column series of the pair (f, g).  When f is the unit
+    series the second entry is g itself (cut to f's order), not 1*g."""
+    powers = [f]
+    if count > 1 and f == 1:
+        powers.append(g if g.order <= f.order else g.truncate(f.order))
+    while len(powers) < count:
+        powers.append(powers[-1] * g)
+    return powers[:count]
 
 
 _SCALARS = (int, Fraction)
@@ -581,10 +594,7 @@ class Series:
             raise DomainError("composition needs zero constant term inside")
         n = min(self.order, inner.order)
         m = max(isqrt(n), 1)
-        g = inner.truncate(n)
-        powers = [Series.one(n), g]
-        while len(powers) <= m:
-            powers.append(powers[-1] * g)
+        powers = _powers(Series.one(n), inner.truncate(n), m + 1)
         giant = powers.pop()  # g^m; g^0..g^(m-1) stay as the baby steps
         ints, den = _to_ints([c for p in powers for c in p.coeffs])
         cols = [ints[k::n + 1] for k in range(n + 1)]  # cols[k][i] = [x^k] g^i
@@ -614,12 +624,8 @@ class Series:
         if self.coeffs[1] == 0:
             raise DomainError("reversion needs a nonzero linear coefficient")
         v = self.div_x().inverse()
-        out = [Q(0)]
-        power = Series.one(n - 1)
-        for m in range(1, n + 1):
-            power = power * v
-            out.append(power.coeffs[m - 1] / m)
-        rev = Series(out, n)
+        rev = Series([Q(0)] + [p.coeffs[m - 1] / m
+                               for m, p in enumerate(_powers(v, v, n), 1)], n)
         agree("reversion: self(rev) against x", self.compose(rev), Series.x(n), n=n)
         return rev
 

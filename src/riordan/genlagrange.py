@@ -49,9 +49,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import exact
-from .arrays import EXPONENTIAL, RiordanArray, _powers
-from .fps import (DomainError, PoleError, Poly, Q, RangeError, Series, _count, _q,
-                  agree)
+from .arrays import EXPONENTIAL, RiordanArray
+from .fps import (DomainError, PoleError, Poly, Q, RangeError, Series, _count,
+                  _powers, _q, agree)
 from .matrix import FinMatrix
 from .numerator import core_matrix, exp_matrix, shift_matrix, tilde_matrix
 

@@ -40,7 +40,7 @@ numerator extractions are not memoized; they verify on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial
 
@@ -52,10 +52,7 @@ from .matrix import FinMatrix
 _ONE_MINUS_X = Poly([1, -1])
 
 
-@dataclass(frozen=True)
-class NumeratorResult:
-    poly: Poly
-    residual_checked: int
+NumeratorResult = namedtuple("NumeratorResult", "poly residual_checked")
 
 
 def _check_square_pair(b: Series, a: Series, n: int):
@@ -277,69 +274,3 @@ def W_matrix(n: int, m: int) -> FinMatrix:
     strided = strided_matrix(window.to_series(m * n + m), m, n)
     agree("W: conjugated dilation against strided window", conj, strided, n=n, m=m)
     return conj
-
-
-# -- generating-function checks ----------------------------------------------
-#
-# Each identity below equates two power series in x whose coefficients are
-# polynomials in t of degree <= k at x^k.  Two such polynomials agree once
-# they agree at k + 1 distinct points, so checking the identity at order_x + 1
-# rational points t0 decides it through x^order_x.
-
-
-def _t_points(count: int) -> list:
-    """``count`` distinct integers t0 != 1, the smallest in size first."""
-    return [Q(t) for t in sorted(range(-count, count + 1), key=abs) if t != 1][:count]
-
-
-def alpha_gf_check(a: Series, order_x: int) -> bool:
-    """Compare the diagonal-numerator family of (1, x*a) against its
-    generating function sum(alpha_k(t) x^k) = (1-t)/(1 - t*a(x(1-t)))
-    through x^order_x.
-
-    alpha_k has degree <= k in t, and so has [x^k] of the right side:
-    1 - t*a(x(1-t)) = (1-t)(1 - t*B) with B = sum_{i>=1} a_i x^i (1-t)^(i-1),
-    so the right side is sum_m t^m B^m, and [x^k] B^m is zero for m > k and
-    carries (1-t)^(k-m) otherwise.  Both sides are therefore compared at
-    order_x + 1 points t0 != 1, each by one Series inverse.
-    """
-    if a.coeffs[0] != 1:
-        raise DomainError("needs a(0) = 1")
-    _count("order_x", order_x)
-    if a.order < 2 * order_x + 2:
-        raise RangeError("series order must be at least 2*order_x + 2")
-    alphas = [alpha_poly(a, k) for k in range(order_x + 1)]
-    for t0 in _t_points(order_x + 1):
-        s = 1 - t0
-        scaled = Series([a.coeffs[k] * s ** k for k in range(order_x + 1)], order_x)
-        rhs = s / (1 - t0 * scaled)
-        if rhs.coeffs != [alpha.eval(t0) for alpha in alphas]:
-            return False
-    return True
-
-
-def phi_gf_check(a: Series, order_x: int) -> bool:
-    """Compare the exponential diagonal-numerator family of (1, x*a)
-    against phi_k(t)/(k+1)! = (1-t)^(2k+1) [x^(k+1)] x*b for k <= order_x,
-    where (1, x*b) is inverse to (1, x(1 - t*a)).
-
-    phi_k has degree <= k in t, and so has the right side: Lagrange
-    inversion gives (1-t)^(2k+1) [x^(k+1)] x*b =
-    (1/(k+1)) sum_{m<=k} C(k+m, m) t^m (1-t)^(k-m) [x^k] (a-1)^m.
-    Both sides are therefore compared at order_x + 1 points t0 != 1, each
-    by one Series reversion (which checks itself).
-    """
-    if a.coeffs[0] != 1:
-        raise DomainError("needs a(0) = 1")
-    _count("order_x", order_x)
-    if a.order < 2 * (2 * order_x + 1):
-        raise RangeError("series order must be at least 2(2*order_x + 1)")
-    phis = [phi_poly(a, k) for k in range(order_x + 1)]
-    for t0 in _t_points(order_x + 1):
-        s = 1 - t0
-        # one order past order_x, so that [x^(order_x+1)] x*b is known
-        xb = (1 - t0 * a.truncate(order_x)).mul_x().reversion()
-        rhs = [xb.coeffs[k + 1] * s ** (2 * k + 1) for k in range(order_x + 1)]
-        if rhs != [phi.eval(t0) / factorial(k + 1) for k, phi in enumerate(phis)]:
-            return False
-    return True

@@ -2,53 +2,55 @@
 
 Each check has a stable identifier (thm2.1 .. thm9.5, ex2.1 .. ex8.1,
 eq1, eq2, eq3, w-amazing, col-sums, fixtures) and is a generator of
-comparisons ``(label, got, want)``; an identity that a function decides
-yes or no is yielded as ``(label, verdict, True)``.  :func:`run_suite` is
-the only code that compares.  It holds each pair against the other with
-``fps._mismatch`` and words a failure ``"label: first difference"``; a
-result's detail keeps the first four failures and counts the rest as
-``"; and N more"``.  A check that raises fails with ``"raised Error:
-message"`` in place of what it had collected, and a check that yields no
-comparison fails with ``"no comparisons made"``, so no check passes
-vacuously.  Randomized suites draw from a seeded generator, so identical
-invocations produce identical reports.
+comparisons ``(label, got, want)``; only thm4.4's broken symmetry, a
+yes-or-no fact, is yielded as ``(label, verdict, True)``.
+:func:`run_suite` is the only code that compares.  It holds each pair
+against the other with ``fps._mismatch`` and words a failure
+``"label: first difference"``; a result's detail keeps the first four
+failures and counts the rest as ``"; and N more"``.  A check that raises
+fails with ``"raised Error: message"`` in place of what it had
+collected, and a check that yields no comparison fails with
+``"no comparisons made"``, so no check passes vacuously.  Randomized
+suites draw from a seeded generator, so identical invocations produce
+identical reports.
+
+The generating functions in x and t (eq1, ex2.3, ex3.2) yield one
+comparison per rational point t0, labelled ``t=...`` (``_alpha_gf``,
+``_phi_gf``), so a failure names t0 and the first differing coefficient.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb, factorial
 
 from . import exact
-from .arrays import EXPONENTIAL, RiordanArray, _powers, lagrange_pair, table_row
-from .fps import DomainError, Poly, Q, Series, _mismatch, _q, xdlog
+from .arrays import EXPONENTIAL, RiordanArray, lagrange_pair, table_row
+from .fps import DomainError, Poly, Q, Series, _mismatch, _powers, _q, xdlog
 from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
                           beta_q_transform, beta_u_transform,
                           gen_binomial_series, gen_lagrange_series, q_series,
                           u_polys)
 from .matrix import FinMatrix
-from .numerator import (W_matrix, _t_points, alpha_gf_check, alpha_poly,
-                        alt_matrix, core_matrix, euler_numerator, exp_matrix,
-                        narayana_numerator, phi_gf_check, phi_poly,
-                        shift_matrix, strided_matrix, tilde_matrix)
+from .numerator import (W_matrix, alpha_poly, alt_matrix, core_matrix,
+                        euler_numerator, exp_matrix, narayana_numerator,
+                        phi_poly, shift_matrix, strided_matrix, tilde_matrix)
 
 DEFAULT_BETAS = (Q(-2), Q(-1), Q(-1, 2), Q(1, 3), Q(1, 2), Q(1), Q(2), Q(3))
 DEFAULT_SEED = 20250809
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
-@dataclass
 class Report:
-    suite: str
-    results: list = field(default_factory=list)
+    """The CheckResults of one :func:`run_suite` call, in check order."""
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.results = []
 
     @property
     def ok(self) -> bool:
@@ -241,6 +243,52 @@ def _reduce(mat: FinMatrix, m: int) -> FinMatrix:
     up = FinMatrix([[(-1) ** (i - j) * comb(m, i - j) if i >= j else 0 for j in range(s - m)]
                     for i in range(s)])
     return down * mat * up
+
+
+def _t_points(count: int) -> list:
+    """``count`` distinct integers t0 != 1, the smallest in size first."""
+    return [Q(t) for t in sorted(range(-count, count + 1), key=abs) if t != 1][:count]
+
+
+def _alpha_gf(a: Series, order_x: int):
+    """For each of order_x + 1 points t0, the diagonal-numerator family
+    sum(alpha_k(t0) x^k) of (1, x*a) and its generating function
+    (1-t0)/(1 - t0*a(x(1-t0))), both through x^order_x: ``(t0, got, want)``.
+
+    alpha_k has degree <= k in t, and so has [x^k] of the right side:
+    1 - t*a(x(1-t)) = (1-t)(1 - t*B) with B = sum_{i>=1} a_i x^i (1-t)^(i-1),
+    so the right side is sum_m t^m B^m, and [x^k] B^m is zero for m > k and
+    carries (1-t)^(k-m) otherwise.  Two such polynomials agree once they
+    agree at k + 1 points, so the order_x + 1 points t0 != 1 decide the
+    identity through x^order_x, each by one Series inverse.
+    """
+    alphas = [alpha_poly(a, k) for k in range(order_x + 1)]
+    for t0 in _t_points(order_x + 1):
+        s = 1 - t0
+        scaled = Series([a.coeffs[k] * s ** k for k in range(order_x + 1)], order_x)
+        yield (t0, Series([alpha.eval(t0) for alpha in alphas], order_x),
+               s / (1 - t0 * scaled))
+
+
+def _phi_gf(a: Series, order_x: int):
+    """For each of order_x + 1 points t0, the exponential diagonal-numerator
+    family phi_k(t0)/(k+1)! of (1, x*a) and (1-t0)^(2k+1) [x^(k+1)] x*b for
+    k <= order_x, where (1, x*b) is inverse to (1, x(1 - t0*a)), as two
+    lists: ``(t0, got, want)``.
+
+    phi_k has degree <= k in t, and so has the right side: Lagrange
+    inversion gives (1-t)^(2k+1) [x^(k+1)] x*b =
+    (1/(k+1)) sum_{m<=k} C(k+m, m) t^m (1-t)^(k-m) [x^k] (a-1)^m.  So the
+    order_x + 1 points t0 != 1 decide the identity, each by one Series
+    reversion (which checks itself).
+    """
+    phis = [phi_poly(a, k) for k in range(order_x + 1)]
+    for t0 in _t_points(order_x + 1):
+        s = 1 - t0
+        # one order past order_x, so that [x^(order_x+1)] x*b is known
+        xb = (1 - t0 * a.truncate(order_x)).mul_x().reversion()
+        yield (t0, [phi.eval(t0) / factorial(k + 1) for k, phi in enumerate(phis)],
+               [xb.coeffs[k + 1] * s ** (2 * k + 1) for k in range(order_x + 1)])
 
 
 def _reflection(kind, first_n, reversal):
@@ -559,9 +607,7 @@ def _chk_thm62(ctx):
 def _chk_thm63(ctx):
     for n in range(1, ctx.max_n + 1):
         x = beta_matrix("X", n)
-        powers = [FinMatrix.identity(n + 1)]
-        for _ in range(n):
-            powers.append(powers[-1] * x)
+        powers = [FinMatrix.identity(n + 1)] + _powers(x, x, n)
         for beta in ctx.betas:
             g = beta_matrix("G", n, beta)
             acc = FinMatrix.zeros(n + 1, n + 1)
@@ -697,18 +743,16 @@ def _chk_ex23(ctx):
     phi, beta = Q(1), Q(1)
     order_x = 8
     a = Series.from_poly([1, phi, beta], 2 * order_x + 2).inverse()
-    yield "generating identity", alpha_gf_check(a, order_x), True
     # the closed rational form (1 + phi(1-t)x + beta(1-t)^2 x^2) over
     # (1 + phi x + beta(1-t)x^2): the only t in the denominator sits in its
     # x^2 coefficient, so [x^n] of the form has degree <= n in t, as alpha_n
-    # has, and order_x + 1 points t0 decide the identity
-    alphas = [alpha_poly(a, n) for n in range(order_x + 1)]
-    for t0 in _t_points(order_x + 1):
+    # has, and the same order_x + 1 points t0 decide the identity
+    for t0, alphas, rhs in _alpha_gf(a, order_x):
+        yield "generating identity t=%s" % t0, alphas, rhs
         s = 1 - t0
         num = Series.from_poly([1, phi * s, beta * s * s], order_x)
         den = Series.from_poly([1, phi, beta * s], order_x)
-        yield ("closed rational form at t=%s" % t0,
-               Series([alpha.eval(t0) for alpha in alphas], order_x), num / den)
+        yield "closed rational form at t=%s" % t0, alphas, num / den
 
 
 def _chk_ex31(ctx):
@@ -748,8 +792,8 @@ def _chk_ex32(ctx):
     geo = Series.geometric(order)
     for n in range(1, top + 1):
         yield "phi_%d" % n, phi_poly(geo, n), beta_phi_closed(n, 1)
-    yield ("exponential generating identity",
-           phi_gf_check(Series.geometric(2 * (2 * 8 + 1)), 8), True)
+    for t0, got, want in _phi_gf(Series.geometric(2 * (2 * 8 + 1)), 8):
+        yield "exponential generating identity t=%s" % t0, got, want
     n_ord = 10
     for tau in (Q(1, 2), Q(-1), Q(2)):
         inner = Series.from_poly([1, -2 * (1 + tau), (1 - tau) ** 2], n_ord + 1)
@@ -899,8 +943,10 @@ def _chk_eq1(ctx):
     rng = ctx.rng("eq1")
     for trial in range(10):
         a = _rand_unit(rng, 2 * (2 * 12 + 1))
-        yield "ordinary families trial=%d" % trial, alpha_gf_check(a, 12), True
-        yield "exponential families trial=%d" % trial, phi_gf_check(a, 12), True
+        for t0, got, want in _alpha_gf(a, 12):
+            yield "ordinary families trial=%d t=%s" % (trial, t0), got, want
+        for t0, got, want in _phi_gf(a, 12):
+            yield "exponential families trial=%d t=%s" % (trial, t0), got, want
 
 
 def _chk_w_amazing(ctx):

@@ -6,7 +6,7 @@ import pytest
 
 from riordan import exact
 from riordan.fps import (ConsistencyError, DomainError, Poly, RangeError, Series,
-                         _convolve, _mismatch, xdlog)
+                         _convolve, _mismatch, _power, _powers, xdlog)
 from riordan.matrix import FinMatrix
 
 
@@ -26,6 +26,39 @@ def test_geometric_cancellation():
 
 def test_inverse_of_one_minus_x():
     assert Series.one(9) / Series.from_poly([1, -1], 9) == Series.geometric(9)
+
+
+def test_power_walks_never_multiply_by_the_unit(monkeypatch):
+    f = Series.from_poly([2, 1, -1], 8)
+    g = Series.from_poly([0, 1, 3], 8)
+    # the walks from the unit, by plain products taken before counting starts
+    f_powers = [Series.one(8)]
+    g_powers = [Series.one(6)]
+    for _ in range(9):
+        f_powers.append(f_powers[-1] * f)
+        g_powers.append(g_powers[-1] * g)
+    units = []
+    real = Series.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Series) and (self == 1 or other == 1):
+            units.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(Series, "__rmul__", counted)
+    one = Series.one(8)
+    assert _power(f, 0, one) is one
+    assert f ** 1 is f
+    for k in range(10):
+        assert (f ** k).coeffs == f_powers[k].coeffs
+    # g of order 8 walked from a unit of order 6: every entry at order 6
+    assert [(p.order, p.coeffs) for p in _powers(Series.one(6), g, 10)] == [
+        (p.order, p.coeffs) for p in g_powers]
+    assert _powers(Series.one(8), g, 2)[1] is g
+    assert _powers(Series.one(9), g, 2)[1] is g
+    assert _powers(Series.one(8), g, 0) == []
+    assert units == []
 
 
 def test_square_of_one_plus_x():

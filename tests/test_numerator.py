@@ -10,11 +10,10 @@ from riordan.cli import CORE_KINDS, EXP_KINDS, TILDE_KINDS
 from riordan.fps import ConsistencyError, DomainError, Poly, RangeError, Series
 from riordan.genlagrange import gen_binomial_series
 from riordan.matrix import FinMatrix
-from riordan.numerator import (NumeratorResult, W_matrix, alpha_gf_check,
-                               alpha_poly, core_matrix, euler_numerator,
-                               exp_matrix, narayana_numerator, phi_gf_check,
-                               phi_poly, shift_matrix, strided_matrix,
-                               tilde_matrix)
+from riordan.numerator import (NumeratorResult, W_matrix, alpha_poly,
+                               core_matrix, euler_numerator, exp_matrix,
+                               narayana_numerator, phi_poly, shift_matrix,
+                               strided_matrix, tilde_matrix)
 
 
 def geo(order):
@@ -273,23 +272,22 @@ def test_w_matrix_fixtures_and_routes():
     assert W_matrix(3, 2) * W_matrix(3, 2) == W_matrix(3, 4)
 
 
+def _only_equal_pairs(pairs, order_x):
+    """The generator yielded one pair per point of _t_points, all equal."""
+    pairs = list(pairs)
+    assert [t0 for t0, _, _ in pairs] == verify._t_points(order_x + 1)
+    return all(got == want for _, got, want in pairs)
+
+
 def test_alpha_gf_check_trivial_and_families():
-    assert alpha_gf_check(Series.one(14), 4)
-    assert alpha_gf_check(geo(16), 6)
     order = 2 * 8 + 2
-    a = Series.one(order) / Series.from_poly([1, 1, 1], order)
-    assert alpha_gf_check(a, 8)
+    recip = Series.one(order) / Series.from_poly([1, 1, 1], order)
+    for a, order_x in ((Series.one(14), 4), (geo(16), 6), (recip, 8)):
+        assert _only_equal_pairs(verify._alpha_gf(a, order_x), order_x)
 
 
 def test_phi_gf_check_geometric():
-    assert phi_gf_check(geo(26), 6)
-
-
-def test_gf_checks_reject_negative_order():
-    for check in (alpha_gf_check, phi_gf_check):
-        for bad in (-1, 2.0, Q(1)):
-            with pytest.raises(DomainError):
-                check(geo(16), bad)
+    assert _only_equal_pairs(verify._phi_gf(geo(26), 6), 6)
 
 
 def _perturbed(real, k, delta):
@@ -311,29 +309,42 @@ def _vanishing_at(points):
 @pytest.mark.parametrize("k, delta", [
     (4, Poly.monomial(2)),
     (6, Poly.monomial(6)),
-    (6, _vanishing_at(numerator._t_points(6))),
+    (6, _vanishing_at(verify._t_points(6))),
 ], ids=["low", "top", "vanishing"])
 def test_gf_checks_catch_a_wrong_numerator(monkeypatch, k, delta):
-    monkeypatch.setattr(numerator, "alpha_poly", _perturbed(alpha_poly, k, delta))
-    monkeypatch.setattr(numerator, "phi_poly", _perturbed(phi_poly, k, delta))
-    assert not alpha_gf_check(geo(16), 6)
-    assert not phi_gf_check(geo(26), 6)
+    monkeypatch.setattr(verify, "alpha_poly", _perturbed(alpha_poly, k, delta))
+    monkeypatch.setattr(verify, "phi_poly", _perturbed(phi_poly, k, delta))
+    assert not _only_equal_pairs(verify._alpha_gf(geo(16), 6), 6)
+    assert not _only_equal_pairs(verify._phi_gf(geo(26), 6), 6)
 
 
 # ex2.3 reaches x^8: a low coefficient, and the top coefficient t^8 of alpha_8
 @pytest.mark.parametrize("k, delta", [(3, Poly.monomial(1)), (8, Poly.monomial(8))],
                          ids=["low", "top"])
 def test_ex23_catches_a_wrong_numerator(monkeypatch, k, delta):
-    wrong = _perturbed(alpha_poly, k, delta)
-    monkeypatch.setattr(numerator, "alpha_poly", wrong)
-    detail = verify.run_suite("ex2.3").results[0].detail
-    assert detail == "generating identity: got False, want True"
-    monkeypatch.setattr(numerator, "alpha_poly", alpha_poly)
-    monkeypatch.setattr(verify, "alpha_poly", wrong)
+    monkeypatch.setattr(verify, "alpha_poly", _perturbed(alpha_poly, k, delta))
     report = verify.run_suite("ex2.3")
     assert not report.ok
-    assert re.match(r"closed rational form at t=-?\d+: coefficient %d: " % k,
-                    report.results[0].detail)
+    first, second = report.results[0].detail.split("; ")[:2]
+    # the delta vanishes at t = 0, so the first point to differ is t = -1
+    assert first.startswith("generating identity t=-1: coefficient %d: got " % k)
+    assert second.startswith("closed rational form at t=-1: coefficient %d: got " % k)
+
+
+def test_ex32_names_the_point_and_index_of_a_wrong_phi(monkeypatch):
+    # phi_8 lies past the phi_n comparisons, so only the identity sees it
+    monkeypatch.setattr(verify, "phi_poly", _perturbed(phi_poly, 8, Poly.monomial(8)))
+    detail = verify.run_suite("ex3.2").results[0].detail
+    assert re.match(r"exponential generating identity t=-1: index 8: got [-\d/]+, "
+                    r"want [-\d/]+; ", detail)
+
+
+def test_eq1_names_the_trial_point_and_coefficient(monkeypatch):
+    monkeypatch.setattr(verify, "alpha_poly", _perturbed(alpha_poly, 3, Poly.monomial(1)))
+    detail = verify.run_suite("eq1").results[0].detail
+    assert re.match(r"ordinary families trial=0 t=-1: coefficient 3: got [-\d/]+, "
+                    r"want [-\d/]+; ", detail)
+    assert detail.endswith(" more")
 
 
 def test_numerator_result_shape():
@@ -341,6 +352,25 @@ def test_numerator_result_shape():
     assert isinstance(res, NumeratorResult)
     assert res.poly.bound == 3
     assert res.residual_checked >= res.poly.bound
+
+
+def test_records_are_immutable_named_tuples():
+    assert NumeratorResult._fields == ("poly", "residual_checked")
+    assert verify.CheckResult._fields == ("name", "passed", "detail")
+    res = euler_numerator(Series.one(10), geo(10), 3)
+    assert res == euler_numerator(Series.one(10), geo(10), 3)
+    assert res != NumeratorResult(res.poly, res.residual_checked + 1)
+    assert repr(NumeratorResult(1, 2)) == "NumeratorResult(poly=1, residual_checked=2)"
+    ok = verify.CheckResult("eq1", True)
+    assert ok.detail == ""
+    assert repr(ok) == "CheckResult(name='eq1', passed=True, detail='')"
+    for record, field in ((res, "poly"), (ok, "detail")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    report = verify.Report("eq1")
+    assert (report.suite, report.results, report.ok, report.n_passed) == ("eq1", [], True, 0)
+    report.results.extend([ok, verify.CheckResult("eq2", False, "n=1: got 0, want 1")])
+    assert (report.ok, report.n_passed) == (False, 1)
 
 
 def test_pseudo_involution_gives_self_reversed_phi():
