@@ -8,8 +8,8 @@ every printed value the library is built around.
 
 from .arrays import (EXPONENTIAL, ORDINARY, SQUARE, RiordanArray,
                      lagrange_pair, table_row)
-from .exact import (binom, eulerian_poly, falling, falling_from, falling_poly,
-                    rising, rising_from, rising_poly, stirling1, stirling2)
+from .exact import (binom, eulerian_poly, falling_from, falling_poly,
+                    rising_from)
 from .fps import (ConsistencyError, DomainError, PoleError, Poly, Q,
                   RangeError, Series, xdlog)
 from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
@@ -30,8 +30,7 @@ __all__ = [
     "NumeratorResult", "CheckResult", "Report",
     "ORDINARY", "EXPONENTIAL", "SQUARE",
     "DomainError", "RangeError", "ConsistencyError", "PoleError",
-    "binom", "falling", "rising", "falling_poly", "rising_poly",
-    "falling_from", "rising_from", "stirling1", "stirling2", "eulerian_poly",
+    "binom", "falling_poly", "falling_from", "rising_from", "eulerian_poly",
     "xdlog", "lagrange_pair", "table_row",
     "euler_numerator", "narayana_numerator", "alpha_poly", "phi_poly",
     "core_matrix", "exp_matrix", "tilde_matrix", "W_matrix", "strided_matrix",

@@ -28,13 +28,6 @@ BETA_KINDS = ("G", "H", "A", "T")
 MATRIX_KINDS = CORE_KINDS + EXP_KINDS + TILDE_KINDS + BETA_KINDS + ("W", "X")
 
 
-def fmt_q(value: Fraction) -> str:
-    value = Q(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
-
-
 def _nonneg_int(text: str) -> int:
     """argparse type for orders and sizes: a nonnegative integer."""
     try:
@@ -58,7 +51,7 @@ def _rational(text: str) -> Fraction:
 
 
 def render_series(coeffs, fmt: str, meta: dict) -> str:
-    cells = [fmt_q(c) for c in coeffs]
+    cells = [str(c) for c in coeffs]
     if fmt == "text":
         return ", ".join(cells)
     if fmt == "csv":
@@ -71,7 +64,7 @@ def render_series(coeffs, fmt: str, meta: dict) -> str:
 
 
 def render_matrix(matrix: FinMatrix, fmt: str, meta: dict) -> str:
-    cells = [[fmt_q(v) for v in row] for row in matrix.data]
+    cells = [[str(v) for v in row] for row in matrix.data]
     if fmt == "text":
         widths = [max(len(cells[i][j]) for i in range(matrix.n_rows))
                   for j in range(matrix.n_cols)]
@@ -92,7 +85,7 @@ def poly_str(poly: Poly) -> str:
         if c == 0:
             continue
         if k == 0:
-            terms.append(fmt_q(c))
+            terms.append(str(c))
         else:
             xk = "x" if k == 1 else "x^%d" % k
             if c == 1:
@@ -100,7 +93,7 @@ def poly_str(poly: Poly) -> str:
             elif c == -1:
                 terms.append("-" + xk)
             else:
-                terms.append("%s*%s" % (fmt_q(c), xk))
+                terms.append("%s*%s" % (c, xk))
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
@@ -145,7 +138,7 @@ def _cmd_matrix(args) -> int:
     matrix = _build_matrix(args)
     meta = {"kind": args.kind, "n": args.n}
     if args.beta is not None:
-        meta["beta"] = fmt_q(args.beta)
+        meta["beta"] = str(args.beta)
     if args.m is not None:
         meta["m"] = args.m
     print(render_matrix(matrix, args.format, meta))
@@ -169,15 +162,15 @@ def _cmd_numerator(args) -> int:
         result = narayana_numerator(b, a, n)
     if args.format == "json":
         payload = {"family": args.family, "n": n,
-                   "coeffs": [fmt_q(c) for c in result.poly.coeffs],
+                   "coeffs": [str(c) for c in result.poly.coeffs],
                    "residual_checked": result.residual_checked}
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
-        print(",".join(fmt_q(c) for c in result.poly.coeffs))
+        print(",".join(map(str, result.poly.coeffs)))
         print("residual_checked,%d" % result.residual_checked)
     else:
         print("poly: %s" % poly_str(result.poly))
-        print("coeffs: %s" % ", ".join(fmt_q(c) for c in result.poly.coeffs))
+        print("coeffs: %s" % ", ".join(map(str, result.poly.coeffs)))
         print("residual_checked: %d" % result.residual_checked)
     return 0
 

@@ -1,13 +1,12 @@
 """Exact combinatorial scalars and small polynomial families.
 
 Generalized binomial coefficients with a rational upper argument,
-ascending/descending factorials (as numbers and as polynomials),
-signed Stirling numbers, and the classical Eulerian polynomials.
+ascending and descending factorials as polynomials, and the classical
+Eulerian polynomials.
 
-For a rational phi = p/q the falling product phi(phi-1)...(phi-n+1) is
-the integer product of the p - iq over q^n, and the rising one that of
-the p + iq, reduced once rather than n times as n Fraction products
-would be.
+For a rational phi = p/q, binom(phi, k) takes the integer product of the
+p - iq over q^k k!, reduced once rather than k times as k Fraction
+products would be.
 A count that is not an integer, or a negative count where the product
 has no meaning, is a DomainError.
 """
@@ -18,16 +17,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .fps import DomainError, Poly, Q, _count, _q
-
-
-def _product(phi: Fraction, n: int, step: int):
-    """phi (phi + step) ... (phi + (n-1) step) for phi = p/q, as the
-    integer product of the p + i step q and its denominator q^n."""
-    p, q = phi.numerator, phi.denominator
-    num = 1
-    for i in range(n):
-        num *= p + i * step * q
-    return num, q ** n
 
 
 def binom(phi, k: int) -> Fraction:
@@ -44,22 +33,11 @@ def binom(phi, k: int) -> Fraction:
     if phi.denominator == 1 and phi >= 0:
         n = phi.numerator
         return Q(comb(n, k)) if k <= n else Q(0)
-    num, den = _product(phi, k, -1)
-    return Q(num, den * factorial(k))
-
-
-def falling(phi, n: int) -> Fraction:
-    """Descending factorial phi(phi-1)...(phi-n+1) for n >= 0; the empty
-    product is 1."""
-    num, den = _product(_q(phi), _count("falling count", n), -1)
-    return Q(num, den)
-
-
-def rising(phi, n: int) -> Fraction:
-    """Ascending factorial phi(phi+1)...(phi+n-1) for n >= 0; the empty
-    product is 1."""
-    num, den = _product(_q(phi), _count("rising count", n), 1)
-    return Q(num, den)
+    p, q = phi.numerator, phi.denominator
+    num = 1
+    for i in range(k):
+        num *= p - i * q
+    return Q(num, q ** k * factorial(k))
 
 
 def _poly_product(c, n: int, step: int) -> Poly:
@@ -84,32 +62,6 @@ def rising_from(c, n: int) -> Poly:
 def falling_poly(n: int) -> Poly:
     """(x)_n = x(x-1)...(x-n+1)."""
     return falling_from(0, n)
-
-
-def rising_poly(n: int) -> Poly:
-    """[x]_n = x(x+1)...(x+n-1)."""
-    return rising_from(0, n)
-
-
-def stirling1(n: int, m: int) -> Fraction:
-    """Signed Stirling numbers of the first kind: [x^m] (x)_n."""
-    if _count("stirling1 m", m) > _count("stirling1 n", n):
-        raise DomainError("stirling1 needs 0 <= m <= n")
-    return falling_poly(n).coeff(m)
-
-
-def stirling2(n: int, m: int) -> Fraction:
-    """Stirling numbers of the second kind."""
-    if _count("stirling2 m", m) > _count("stirling2 n", n):
-        raise DomainError("stirling2 needs 0 <= m <= n")
-    row = [Q(1)]
-    for r in range(1, n + 1):
-        new = [Q(0)] * (r + 1)
-        for k in range(1, r + 1):
-            new[k] = k * (row[k] if k < r else Q(0)) + row[k - 1]
-        new[0] = Q(0)
-        row = new
-    return row[m]
 
 
 # Coefficient tuples of the Eulerian polynomials A_0, A_1, ... by index,

@@ -390,12 +390,6 @@ class Poly:
         """Coefficient reversal relative to the declared bound."""
         return Poly(list(reversed(self.coeffs)), self.bound)
 
-    def derivative(self) -> "Poly":
-        if self.bound == 0:
-            return Poly.zero()
-        return Poly([k * self.coeffs[k] for k in range(1, self.bound + 1)],
-                    self.bound - 1)
-
     def divexact(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division; raises on a nonzero remainder."""
         d = divisor.degree()

@@ -16,7 +16,9 @@ identical reports.
 
 The generating functions in x and t (eq1, ex2.3, ex3.2) yield one
 comparison per rational point t0, labelled ``t=...`` (``_alpha_gf``,
-``_phi_gf``), so a failure names t0 and the first differing coefficient.
+``_phi_gf``), so a failure names t0 and the first differing coefficient,
+and one more: the number of distinct points used against the
+order_x + 1 that decide the identity.
 """
 
 from __future__ import annotations
@@ -291,6 +293,17 @@ def _phi_gf(a: Series, order_x: int):
                [xb.coeffs[k + 1] * s ** (2 * k + 1) for k in range(order_x + 1)])
 
 
+def _distinct_points(comparisons, used: list):
+    """Pass on the ``(t0, got, want)`` of ``_alpha_gf`` or ``_phi_gf`` and
+    append the number of distinct points t0 among them to ``used``: the
+    degree argument decides an identity only at order_x + 1 of them."""
+    points = set()
+    for t0, got, want in comparisons:
+        points.add(t0)
+        yield t0, got, want
+    used.append(len(points))
+
+
 def _reflection(kind, first_n, reversal):
     """The check K(-beta) = J K(beta) J for K = beta_matrix(kind), with
     J = reversal(n), for n from first_n to max_n."""
@@ -300,6 +313,19 @@ def _reflection(kind, first_n, reversal):
             for beta in ctx.betas:
                 yield ("n=%d beta=%s" % (n, beta), beta_matrix(kind, n, -beta),
                        j * beta_matrix(kind, n, beta) * j)
+    return check
+
+
+def _band_conjugation(kind, route):
+    """The check K = L B R for K = beta_matrix(kind, n, beta), B the
+    transpose of multiplication by (1+x)^(n*beta) and (L, R) = route(n),
+    for n from 1 to max_n and every beta."""
+    def check(ctx):
+        for n in range(1, ctx.max_n + 1):
+            left, right = route(n)
+            for beta in ctx.betas:
+                yield ("n=%d beta=%s" % (n, beta), beta_matrix(kind, n, beta),
+                       left * _binom_band_T(n * beta, right.n_rows) * right)
     return check
 
 
@@ -592,18 +618,6 @@ def _chk_eq3(ctx):
     return _closed_family(ctx, phi_poly, beta_phi_closed, lambda n: 2 * (2 * n + 1))
 
 
-def _chk_thm62(ctx):
-    for n in range(1, ctx.max_n + 1):
-        v = core_matrix("V", n)
-        vinv = core_matrix("Vinv", n)
-        for beta in ctx.betas:
-            nb = n * beta
-            if nb.denominator != 1:
-                continue
-            yield ("n=%d beta=%s" % (n, beta), beta_matrix("G", n, beta),
-                   vinv * _binom_band_T(nb, n + 1) * v)
-
-
 def _chk_thm63(ctx):
     for n in range(1, ctx.max_n + 1):
         x = beta_matrix("X", n)
@@ -662,18 +676,6 @@ def _chk_thm83(ctx):
                      * comb(m + n, n) for m in range(n + 1))
             yield ("shifted column element n=%d p=%d" % (n, p), s2,
                    Q(-1) ** (n + p) * Q(n) ** p)
-
-
-def _chk_thm92(ctx):
-    for n in range(1, ctx.max_n + 1):
-        vt = tilde_matrix("Vt", n)
-        dt = tilde_matrix("Dt", n)
-        for beta in ctx.betas:
-            nb = n * beta
-            if nb.denominator != 1:
-                continue
-            yield ("n=%d beta=%s" % (n, beta), beta_matrix("A", n, beta),
-                   vt.inverse() * dt * _binom_band_T(nb, n) * dt.inverse() * vt)
 
 
 def _chk_thm93(ctx):
@@ -747,12 +749,14 @@ def _chk_ex23(ctx):
     # (1 + phi x + beta(1-t)x^2): the only t in the denominator sits in its
     # x^2 coefficient, so [x^n] of the form has degree <= n in t, as alpha_n
     # has, and the same order_x + 1 points t0 decide the identity
-    for t0, alphas, rhs in _alpha_gf(a, order_x):
+    used = []
+    for t0, alphas, rhs in _distinct_points(_alpha_gf(a, order_x), used):
         yield "generating identity t=%s" % t0, alphas, rhs
         s = 1 - t0
         num = Series.from_poly([1, phi * s, beta * s * s], order_x)
         den = Series.from_poly([1, phi, beta * s], order_x)
         yield "closed rational form at t=%s" % t0, alphas, num / den
+    yield "distinct points t0", used[0], order_x + 1
 
 
 def _chk_ex31(ctx):
@@ -792,8 +796,11 @@ def _chk_ex32(ctx):
     geo = Series.geometric(order)
     for n in range(1, top + 1):
         yield "phi_%d" % n, phi_poly(geo, n), beta_phi_closed(n, 1)
-    for t0, got, want in _phi_gf(Series.geometric(2 * (2 * 8 + 1)), 8):
+    order_x, used = 8, []
+    gf = _phi_gf(Series.geometric(2 * (2 * order_x + 1)), order_x)
+    for t0, got, want in _distinct_points(gf, used):
         yield "exponential generating identity t=%s" % t0, got, want
+    yield "distinct points t0", used[0], order_x + 1
     n_ord = 10
     for tau in (Q(1, 2), Q(-1), Q(2)):
         inner = Series.from_poly([1, -2 * (1 + tau), (1 - tau) ** 2], n_ord + 1)
@@ -941,12 +948,13 @@ def _chk_ex81(ctx):
 
 def _chk_eq1(ctx):
     rng = ctx.rng("eq1")
+    order_x, used = 12, []
     for trial in range(10):
-        a = _rand_unit(rng, 2 * (2 * 12 + 1))
-        for t0, got, want in _alpha_gf(a, 12):
-            yield "ordinary families trial=%d t=%s" % (trial, t0), got, want
-        for t0, got, want in _phi_gf(a, 12):
-            yield "exponential families trial=%d t=%s" % (trial, t0), got, want
+        a = _rand_unit(rng, 2 * (2 * order_x + 1))
+        for family, gf in (("ordinary", _alpha_gf), ("exponential", _phi_gf)):
+            for t0, got, want in _distinct_points(gf(a, order_x), used):
+                yield "%s families trial=%d t=%s" % (family, trial, t0), got, want
+    yield "fewest distinct points t0", min(used), order_x + 1
 
 
 def _chk_w_amazing(ctx):
@@ -1049,7 +1057,8 @@ _CHECKS = [
     ("thm4.4", _chk_thm44),
     ("thm4.5", _chk_thm45),
     ("thm6.1", _reflection("G", 1, lambda n: core_matrix("J", n))),
-    ("thm6.2", _chk_thm62),
+    ("thm6.2", _band_conjugation("G", lambda n: (core_matrix("Vinv", n),
+                                                 core_matrix("V", n)))),
     ("thm6.3", _chk_thm63),
     ("thm7.1", _reflection("H", 1, lambda n: core_matrix("J", n))),
     ("thm7.2", _chk_thm72),
@@ -1057,7 +1066,9 @@ _CHECKS = [
     ("thm8.2", _chk_thm82),
     ("thm8.3", _chk_thm83),
     ("thm9.1", _reflection("A", 2, lambda n: tilde_matrix("Jt", n))),
-    ("thm9.2", _chk_thm92),
+    ("thm9.2", _band_conjugation("A", lambda n: (
+        tilde_matrix("Vt", n).inverse() * tilde_matrix("Dt", n),
+        tilde_matrix("Dt", n).inverse() * tilde_matrix("Vt", n)))),
     ("thm9.3", _chk_thm93),
     ("thm9.4", _reflection("T", 2, lambda n: tilde_matrix("Jt", n))),
     ("thm9.5", _chk_thm95),

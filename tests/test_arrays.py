@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction as Q
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -58,7 +58,7 @@ def test_flavor_bridge():
     arr_e = RiordanArray(arr.f, arr.g, EXPONENTIAL)
     for n in range(9):
         for m in range(n + 1):
-            weight = Q(exact.falling(n, n - m))  # n!/m!
+            weight = Q(factorial(n), factorial(m))
             assert arr_e.entry(n, m) == weight * arr.entry(n, m)
 
 
@@ -143,7 +143,7 @@ def test_sheffer_rows():
     rising = RiordanArray(Series.one(8), Series.geometric(8).log(), EXPONENTIAL)
     assert rising.sheffer_row(2) == Poly([0, 1, 1], 2)
     for n in range(5):
-        assert rising.sheffer_row(n) == exact.rising_poly(n).with_bound(n)
+        assert rising.sheffer_row(n) == exact.rising_from(0, n).with_bound(n)
 
 
 def test_sheffer_even_square_case():

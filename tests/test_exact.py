@@ -32,12 +32,13 @@ def test_binom_pascal_recurrence_random_rational():
 
 
 def test_falling_and_rising_values():
-    assert exact.falling(3, 2) == 6
-    assert exact.falling(Q(1, 2), 2) == Q(-1, 4)
-    assert exact.rising(1, 3) == 6
-    assert exact.rising(-2, 2) == 2
-    assert exact.rising(Q(1, 2), 2) == Q(3, 4)
-    assert exact.rising(Q(5, 3), 0) == 1
+    # at x = 0 the polynomial products are the scalar factorials of c
+    assert exact.falling_from(3, 2).eval(0) == 6
+    assert exact.falling_from(Q(1, 2), 2).eval(0) == Q(-1, 4)
+    assert exact.rising_from(1, 3).eval(0) == 6
+    assert exact.rising_from(-2, 2).eval(0) == 2
+    assert exact.rising_from(Q(1, 2), 2).eval(0) == Q(3, 4)
+    assert exact.rising_from(Q(5, 3), 0) == Poly.one()
 
 
 def test_falling_poly_expansion():
@@ -47,65 +48,14 @@ def test_falling_poly_expansion():
 
 
 def test_rising_is_signed_falling():
+    # (x+c)(x+c+1)...(x+c+n-1) = (-1)^n (-x-c)(-x-c-1)...(-x-c-n+1)
     rng = random.Random(11)
     for _ in range(50):
         phi = Q(rng.randint(-15, 15), rng.randint(1, 5))
         for n in range(0, 11):
-            assert exact.rising(phi, n) == Q(-1) ** n * exact.falling(-phi, n)
-
-
-def _partitions_into_blocks(n, m):
-    """Brute-force count of set partitions of {0..n-1} into m blocks."""
-    if n == 0:
-        return 1 if m == 0 else 0
-    count = 0
-
-    def rec(k, blocks):
-        nonlocal count
-        if len(blocks) > m:
-            return
-        if k == n:
-            if len(blocks) == m:
-                count += 1
-            return
-        for b in blocks:
-            b.append(k)
-            rec(k + 1, blocks)
-            b.pop()
-        blocks.append([k])
-        rec(k + 1, blocks)
-        blocks.pop()
-
-    rec(0, [])
-    return count
-
-
-def test_stirling_small_values():
-    assert exact.stirling1(3, 2) == -3
-    assert exact.stirling2(3, 2) == _partitions_into_blocks(3, 2) == 3
-    for n in range(0, 11):
-        assert exact.stirling1(n, n) == 1
-
-
-def test_stirling2_matches_bruteforce():
-    for n in range(0, 7):
-        for m in range(0, n + 1):
-            assert exact.stirling2(n, m) == _partitions_into_blocks(n, m)
-
-
-def test_stirling_orthogonality():
-    for n in range(0, 11):
-        for k in range(0, n + 1):
-            total = sum(exact.stirling1(n, m) * exact.stirling2(m, k)
-                        for m in range(k, n + 1))
-            assert total == (1 if n == k else 0)
-
-
-def test_stirling_domain_errors():
-    with pytest.raises(DomainError):
-        exact.stirling1(2, 3)
-    with pytest.raises(DomainError):
-        exact.stirling2(4, 5)
+            falling = exact.falling_from(-phi, n).coeffs
+            want = Poly([Q(-1) ** (n + k) * c for k, c in enumerate(falling)])
+            assert exact.rising_from(phi, n) == want
 
 
 def test_eulerian_polynomials():
@@ -121,7 +71,8 @@ def _eulerian_by_recurrence(n):
     x = Poly([0, 1])
     one_minus_x = Poly([1, -1])
     for k in range(n):
-        a = x * one_minus_x * a.derivative() + (k + 1) * x * a
+        deriv = Poly([j * c for j, c in enumerate(a.coeffs)][1:] or [0])
+        a = x * one_minus_x * deriv + (k + 1) * x * a
     return a.with_bound(max(n, a.degree()))
 
 
@@ -156,21 +107,14 @@ def test_product_forms_match_fraction_loops():
     for _ in range(60):
         phi = Q(rng.randint(-40, 40), rng.choice(dens))
         for k in range(0, 16):
-            assert exact.falling(phi, k) == ref_product(phi, k, -1), (phi, k)
-            assert exact.rising(phi, k) == ref_product(phi, k, 1), (phi, k)
             assert exact.binom(phi, k) == ref_product(phi, k, -1) / factorial(k), (phi, k)
 
 
 def test_bad_counts_are_domain_errors():
     for call in (lambda: exact.binom(5, 2.0), lambda: exact.binom(Q(1, 2), 2.0),
-                 lambda: exact.falling(Q(1, 2), 2.0), lambda: exact.falling(Q(1, 2), -1),
-                 lambda: exact.rising(3, -1), lambda: exact.rising(3, Q(2)),
                  lambda: exact.falling_from(1, -1), lambda: exact.rising_from(1, -1),
-                 lambda: exact.falling_poly(-1), lambda: exact.rising_poly(-2),
-                 lambda: exact.falling_poly(2.0), lambda: exact.rising_from(1, Q(2)),
-                 lambda: exact.stirling1(2.0, 1), lambda: exact.stirling1(2, 1.0),
-                 lambda: exact.stirling2(2.0, 1), lambda: exact.stirling2(2, Q(1)),
-                 lambda: exact.stirling1(-1, 0), lambda: exact.stirling2(2, 3)):
+                 lambda: exact.falling_poly(-1), lambda: exact.falling_poly(2.0),
+                 lambda: exact.rising_from(1, Q(2))):
         with pytest.raises(DomainError):
             call()
     assert exact.binom(Q(1, 2), -1) == 0
@@ -182,5 +126,5 @@ def test_poly_products_evaluate_to_scalar_products():
         c = Q(rng.randint(-9, 9), rng.randint(1, 4))
         x0 = Q(rng.randint(-9, 9), rng.randint(1, 4))
         for n in range(0, 8):
-            assert exact.falling_from(c, n).eval(x0) == exact.falling(x0 + c, n)
-            assert exact.rising_from(c, n).eval(x0) == exact.rising(x0 + c, n)
+            assert exact.falling_from(c, n).eval(x0) == ref_product(x0 + c, n, -1)
+            assert exact.rising_from(c, n).eval(x0) == ref_product(x0 + c, n, 1)
