@@ -41,4 +41,4 @@ print("   (halved central binomials)")
 image_a = gen_lagrange_series(a, -1, 9)
 back = table_row(row0, image_a, -1, -1, 2, 8)
 print("undoing the re-reading recovers b*a^(phi k) at k=2:",
-      back == b * a.pow(-2))
+      back == (b * a.pow(-2)).truncate(8))

@@ -147,11 +147,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_numerator(args) -> int:
     n = args.n
-    if args.family in ("euler", "alpha"):
-        needed = 2 * n + 2
-    else:
-        needed = 2 * (2 * n + 1)
-    order = max(args.order, needed)
+    order = max(args.order, n, 1)  # x needs order 1
     a = parse_series(args.a, order)
     b = parse_series(args.b, order)
     if args.family in ("alpha", "phi") and b != Series.one(order):
@@ -243,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_num.add_argument("--a", required=True, help="column series expression")
     p_num.add_argument("--n", type=_nonneg_int, required=True)
     p_num.add_argument("--order", type=_nonneg_int, default=16,
-                       help="evaluation order (raised to the minimum the "
-                            "extraction needs)")
+                       help="evaluation order (raised to n, the least the "
+                            "extraction reads, and to 1)")
     p_num.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
     p_num.set_defaults(func=_cmd_numerator)

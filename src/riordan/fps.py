@@ -3,11 +3,14 @@
 Coefficients are ``fractions.Fraction`` throughout; nothing here ever
 rounds.  A :class:`Series` carries an explicit truncation order, and
 binary operations return the smaller order of the two operands, so no
-coefficient is ever fabricated beyond what both inputs determine.
+coefficient is ever fabricated beyond what both inputs determine.  Two
+series are equal only when their orders are equal and so are their
+coefficients; a caller that means a shorter comparison truncates first.
 
 A :class:`Poly` is exact (not truncated) and carries a declared degree
 bound that may exceed its true degree; the reversal operator depends on
-the bound, not the degree.
+the bound, not the degree.  Its equality pads the shorter side with
+zeros, so polynomials with different bounds compare by value.
 
 Every product of coefficient lists (``Series * Series`` and
 ``Poly * Poly``) goes through one kernel, :func:`_convolve`, which uses
@@ -116,18 +119,20 @@ def _mismatch(got, want):
     """None when ``got == want`` (by the operands' own ``==``); otherwise
     one line naming the first place the two differ, with both values there.
 
-    Poly and Series give the coefficient index, FinMatrix the (i, j) entry
-    or the shape, lists and tuples the index or the length, and anything
-    else the two values.
+    Series of different orders give the orders, and otherwise Poly and
+    Series give the coefficient index; FinMatrix gives the (i, j) entry or
+    the shape, lists and tuples the index or the length, and anything else
+    the two values.
     """
     if got == want:
         return None
     from .matrix import FinMatrix  # matrix imports this module
 
     kind = type(got) if type(got) is type(want) else None
+    if kind is Series and got.order != want.order:
+        return "order %d, want %d" % (got.order, want.order)
     if kind in (Poly, Series):
-        # Poly pads the shorter side with zeros; Series compares the common
-        # prefix, so its first difference lies inside both.
+        # Poly pads the shorter side with zeros, as its == does
         n = max(len(got.coeffs), len(want.coeffs))
         a = got.coeffs + [_ZERO] * (n - len(got.coeffs))
         b = want.coeffs + [_ZERO] * (n - len(want.coeffs))
@@ -483,13 +488,13 @@ class Series:
         return Series(self.coeffs[: order + 1], order)
 
     def __eq__(self, other):
-        """Coefficient-wise equality up to the smaller order."""
+        """Equal orders and equal coefficients; a scalar is the constant
+        series at this series' order."""
         if isinstance(other, _SCALARS):
             other = Series.const(other, self.order)
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 

@@ -107,7 +107,7 @@ def gen_lagrange_series(a: Series, beta, order: int) -> Series:
     h = a.pow(-beta).mul_x().reversion()
     lag = a.compose(h).truncate(order)
     agree("generalized Lagrange series: lag^beta against the reversion / x",
-          lag.pow(beta), h.div_x(), order=order, beta=beta)
+          lag.pow(beta), h.div_x().truncate(order), order=order, beta=beta)
     us = u_polys(a, order)
     # coefficient 0 is lag(0) = a(0) = 1; the row formula gives the rest
     formula = Series([Q(1)] + [us[k].divexact(_X).eval(1 + beta * k) / factorial(k)

@@ -2,8 +2,11 @@
 
 Row n of a square array (b, a) has generating function g_n(x)/(1-x)^(n+1)
 for a polynomial g_n of degree <= n; the exponential analog has
-denominator (1-x)^(2n+1) and numerator h_n.  Both extractions verify a
-window of higher coefficients is exactly zero before returning.
+denominator (1-x)^(2n+1) and numerator h_n.  Both are built from the
+entries [x^n] b*a^m of row n, so they read b and a only through x^n: each
+needs series of order at least n, and no coefficient beyond x^n changes
+its result.  Both verify a window of higher coefficients of the row is
+exactly zero before returning.
 
 Every self-check here (that window, the degree of h_n, the two routes to
 S, Sinv and W, the strips behind the tilde matrices) goes through
@@ -45,8 +48,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import exact
-from .arrays import EXPONENTIAL, SQUARE, RiordanArray
-from .fps import DomainError, Poly, Q, RangeError, Series, _count, _q, agree
+from .arrays import EXPONENTIAL, RiordanArray
+from .fps import DomainError, Poly, Q, RangeError, Series, _count, _powers, _q, agree
 from .matrix import FinMatrix
 
 _ONE_MINUS_X = Poly([1, -1])
@@ -56,25 +59,28 @@ NumeratorResult = namedtuple("NumeratorResult", "poly residual_checked")
 
 
 def _check_square_pair(b: Series, a: Series, n: int):
+    """The one precondition check of both extractions: a(0) = 1, b(0) != 0,
+    and b and a known through x^n, all that [x^n] b*a^m reads."""
     if a.coeffs[0] != 1:
         raise DomainError("column series needs a(0) = 1")
     if b.coeffs[0] == 0:
         raise DomainError("weight series needs b(0) != 0")
-    _count("n", n)
+    if min(b.order, a.order) < _count("n", n):
+        raise RangeError("series order must be at least n = %d" % n)
 
 
 def _check_residual(t, power: int, g: Poly, n: int):
     """Multiply the diagonal terms t (x^0..x^(2n+1)) by (1-x)^power and
     demand the product equal g through x^n and vanish through x^(2n+1)."""
     product = Poly(t, 2 * n + 1) * _ONE_MINUS_X ** power
-    agree("numerator against the (1-x)^%d residual window"
-          " (is a(0) = 1 and the order big enough?)" % power,
+    agree("numerator against the (1-x)^%d residual window (is a(0) = 1?)" % power,
           Poly(product.coeffs[: 2 * n + 2]), g, n=n)
 
 
-def _square_row(b: Series, a: Series, n: int) -> tuple:
-    """[x^n] b*a^m for m = 0..2n+1: row n of the square array (b, a)."""
-    return RiordanArray(b.truncate(2 * n + 1), a.truncate(2 * n + 1), SQUARE).row(n)
+def _square_row(b: Series, a: Series, n: int) -> list:
+    """[x^n] b*a^m for m = 0..2n+1: row n of the square array (b, a)
+    through column 2n+1, which reads b and a only through x^n."""
+    return [p.coeffs[n] for p in _powers(b.truncate(n), a.truncate(n), 2 * n + 2)]
 
 
 def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
@@ -82,11 +88,10 @@ def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
 
     Built from row n of (b, a-1); an independent pass multiplies row n
     of the square array (b, a), read as a generating function, by
-    (1-x)^(n+1) and demands that coefficients n+1..2n+1 vanish.
+    (1-x)^(n+1) and demands that coefficients n+1..2n+1 vanish.  b and a
+    need order at least n; their coefficients beyond x^n are not read.
     """
     _check_square_pair(b, a, n)
-    if min(b.order, a.order) < 2 * n + 2:
-        raise RangeError("series order must be at least 2n+2")
     row = RiordanArray(b.truncate(n), a.truncate(n) - 1).row(n)
     g = core_matrix("Vinv", n).apply(Poly(row, n))
     _check_residual(_square_row(b, a, n), n + 1, g, n)
@@ -98,11 +103,10 @@ def narayana_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
 
     Computed by lifting row n of the Sheffer array (b, log a) through the
     order-2n Euler connection matrix; verified against (1-x)^(2n+1) times
-    row n of the square array (b, a) weighted by (m+n)!/m!.
+    row n of the square array (b, a) weighted by (m+n)!/m!.  b and a need
+    order at least n; their coefficients beyond x^n are not read.
     """
     _check_square_pair(b, a, n)
-    if min(b.order, a.order) < 2 * (2 * n + 1):
-        raise RangeError("series order must be at least 2(2n+1)")
     s = RiordanArray(b.truncate(n), a.truncate(n).log(), EXPONENTIAL).sheffer_row(n)
     lifted = (exact.rising_from(1, n) * s).with_bound(2 * n)
     hu = core_matrix("U", 2 * n).apply(lifted)

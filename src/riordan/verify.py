@@ -344,13 +344,13 @@ def _alternation(first_n, route):
     return check
 
 
-def _closed_family(ctx, numerator, closed, order):
-    """numerator(a, n) of the binomial family a = beta_family(beta, 1,
-    order(n)) against its closed form closed(n, beta)."""
+def _closed_family(ctx, numerator, closed):
+    """numerator(a, n) of the binomial family a = beta_family(beta, 1, n)
+    against its closed form closed(n, beta)."""
     for n in range(1, ctx.max_n + 1):
         for beta in ctx.betas:
             yield ("n=%d beta=%s" % (n, beta),
-                   numerator(beta_family(beta, 1, order(n)), n), closed(n, beta))
+                   numerator(beta_family(beta, 1, n), n), closed(n, beta))
 
 
 def _end_columns(ctx, kind, scale, closed, dual):
@@ -458,12 +458,11 @@ def _chk_fixtures(ctx):
     order = 10
     cat = _catalan(order)
     one_plus_x = Series.from_poly([1, 1], order)
-    shifted_bell = RiordanArray(one_plus_x, one_plus_x.mul_x().truncate(order))
-    log_pref = 1 + xdlog(_catalan(order + 1))
-    arr_log = RiordanArray(log_pref, cat.mul_x().truncate(order))
-    arr_deriv = RiordanArray(cat.mul_x().derivative().truncate(order),
-                             cat.mul_x().truncate(order))
-    arr_recip = RiordanArray(log_pref, cat.inverse().mul_x().truncate(order))
+    shifted_bell = RiordanArray(one_plus_x, one_plus_x.mul_x())
+    log_pref = 1 + xdlog(cat)
+    arr_log = RiordanArray(log_pref, cat.mul_x())
+    arr_deriv = RiordanArray(cat.mul_x().derivative(), cat.mul_x())
+    arr_recip = RiordanArray(log_pref, cat.inverse().mul_x())
     for key, arr in (("bell-shift", shifted_bell), ("catalan-log", arr_log),
                      ("catalan-deriv", arr_deriv), ("catalan-recip", arr_recip)):
         for n, want in enumerate(_FIX_TRIANGLES[key]):
@@ -535,7 +534,7 @@ def _chk_thm25(ctx):
 
 
 def _chk_eq2(ctx):
-    return _closed_family(ctx, alpha_poly, beta_alpha_closed, lambda n: 2 * n + 2)
+    return _closed_family(ctx, alpha_poly, beta_alpha_closed)
 
 
 _chk_thm31 = _alternation(1, lambda n: (exp_matrix("F", n), n + 1,
@@ -590,13 +589,12 @@ def _chk_thm43(ctx):
 
 def _chk_thm44(ctx):
     top = min(4, ctx.max_n)
-    order = 2 * (2 * top + 1)
     for c in (Q(1), Q(2), Q(1, 2)):
-        a = Series([c ** k for k in range(order + 1)], order)
+        a = Series([c ** k for k in range(top + 1)], top)
         for n in range(1, top + 1):
             h = narayana_numerator(a, a, n).poly
             yield "geometric c=%s n=%d" % (c, n), h.reverse(), h
-    perturbed = Series.from_poly([1, 1, 2], order)
+    perturbed = Series.from_poly([1, 1, 2], max(top, 2))  # order 2 holds the x^2
     numerators = (narayana_numerator(perturbed, perturbed, n).poly
                   for n in range(1, top + 1))
     yield ("perturbed series breaks the symmetry by n=%d" % top,
@@ -615,7 +613,7 @@ def _chk_thm45(ctx):
 
 
 def _chk_eq3(ctx):
-    return _closed_family(ctx, phi_poly, beta_phi_closed, lambda n: 2 * (2 * n + 1))
+    return _closed_family(ctx, phi_poly, beta_phi_closed)
 
 
 def _chk_thm63(ctx):
@@ -697,15 +695,14 @@ def _chk_thm95(ctx):
 
 def _chk_ex21(ctx):
     top = min(5, ctx.max_n)
-    order = 2 * top + 2
-    a = (Series.from_poly([1, 1], order) / Series.from_poly([1, -1], order))
+    a = Series.from_poly([1, 1], top) / Series.from_poly([1, -1], top)
     half_plus_x = Poly([Q(1, 2), 1])
     for n in range(1, top + 1):
         v = RiordanArray(Series.one(n), a.truncate(n) - 1).row_poly(n)
         yield ("v_%d" % n, v, Q(2) ** n * Poly([0, 1]) * half_plus_x ** (n - 1))
         yield ("alpha_%d" % n, alpha_poly(a, n),
                2 * Poly([0, 1]) * Poly([1, 1]) ** (n - 1))
-        u = RiordanArray(Series.one(order), a.log(), EXPONENTIAL).sheffer_row(n)
+        u = RiordanArray(Series.one(top), a.log(), EXPONENTIAL).sheffer_row(n)
         want1 = sum((2 * exact.binom(n - 1, p_ - 1) * exact.falling_poly(p_)
                      * exact.rising_from(1, n - p_) for p_ in range(n + 1)),
                     Poly.zero(n))
@@ -744,7 +741,7 @@ def _chk_ex22(ctx):
 def _chk_ex23(ctx):
     phi, beta = Q(1), Q(1)
     order_x = 8
-    a = Series.from_poly([1, phi, beta], 2 * order_x + 2).inverse()
+    a = Series.from_poly([1, phi, beta], order_x).inverse()
     # the closed rational form (1 + phi(1-t)x + beta(1-t)^2 x^2) over
     # (1 + phi x + beta(1-t)x^2): the only t in the denominator sits in its
     # x^2 coefficient, so [x^n] of the form has degree <= n in t, as alpha_n
@@ -761,10 +758,9 @@ def _chk_ex23(ctx):
 
 def _chk_ex31(ctx):
     top = min(5, ctx.max_n)
-    order = 2 * (2 * top + 1)
-    cat = _catalan(order)
+    cat = _catalan(top)
     for n in range(1, top + 1):
-        u = RiordanArray(Series.one(order), cat.log(), EXPONENTIAL).sheffer_row(n)
+        u = RiordanArray(Series.one(top), cat.log(), EXPONENTIAL).sheffer_row(n)
         yield ("u_%d over x" % n, u.divexact(Poly([0, 1])),
                exact.rising_from(n + 1, n - 1).with_bound(n - 1))
         lifted = exact.rising_from(n + 1, n).with_bound(n)
@@ -792,12 +788,11 @@ def _chk_ex31(ctx):
 
 def _chk_ex32(ctx):
     top = min(6, ctx.max_n)
-    order = 2 * (2 * top + 1)
-    geo = Series.geometric(order)
+    geo = Series.geometric(top)
     for n in range(1, top + 1):
         yield "phi_%d" % n, phi_poly(geo, n), beta_phi_closed(n, 1)
     order_x, used = 8, []
-    gf = _phi_gf(Series.geometric(2 * (2 * order_x + 1)), order_x)
+    gf = _phi_gf(Series.geometric(order_x), order_x)
     for t0, got, want in _distinct_points(gf, used):
         yield "exponential generating identity t=%s" % t0, got, want
     yield "distinct points t0", used[0], order_x + 1
@@ -813,8 +808,7 @@ def _chk_ex32(ctx):
 
 def _chk_ex41(ctx):
     top = min(6, ctx.max_n)
-    order = 2 * (2 * top + 1)
-    geo = Series.geometric(order)
+    geo = Series.geometric(top)
     for n in range(top + 1):
         yield ("flat numerator n=%d" % n,
                euler_numerator(geo, geo, n).poly, Poly.one().with_bound(n))
@@ -828,9 +822,8 @@ def _chk_ex41(ctx):
 
 def _chk_ex42(ctx):
     top = min(6, ctx.max_n)
-    order = 2 * (2 * top + 1)
-    one_plus_x = Series.from_poly([1, 1], order)
-    cat = _catalan(order + 1)
+    one_plus_x = Series.from_poly([1, 1], top)
+    cat = _catalan(top)
     pref = 1 + xdlog(cat)
     for n in range(1, top + 1):
         yield ("ordinary numerator n=%d" % n,
@@ -841,40 +834,38 @@ def _chk_ex42(ctx):
                narayana_numerator(one_plus_x, one_plus_x, n).poly,
                (half * Poly.monomial(n - 1)).with_bound(n))
         yield ("reversed image n=%d" % n,
-               narayana_numerator(pref, cat.truncate(order), n).poly,
+               narayana_numerator(pref, cat, n).poly,
                half.with_bound(n))
 
 
 def _chk_ex43(ctx):
     top = min(6, ctx.max_n)
-    order = 2 * (2 * top + 1)
-    cat = _catalan(order + 1)
+    cat = _catalan(top)
     deriv = cat.mul_x().derivative()
     pref = 1 + xdlog(cat)
     for n in range(1, top + 1):
         scale = Q(factorial(2 * n), factorial(n))
         yield ("constant numerator n=%d" % n,
-               narayana_numerator(deriv, cat.truncate(order), n).poly,
+               narayana_numerator(deriv, cat, n).poly,
                Poly([scale], 0).with_bound(n))
         yield ("ordinary numerator n=%d" % n,
-               euler_numerator(deriv, cat.truncate(order), n).poly,
+               euler_numerator(deriv, cat, n).poly,
                (scale * exp_matrix("Sinv", n).column_poly(0)).with_bound(n))
         want = Q(-1) ** n * Poly([comb(2 * n, m) * exact.binom(-n, n - m)
                                   for m in range(n + 1)], n)
         yield ("reciprocal numerator n=%d" % n,
-               euler_numerator(pref, cat.inverse().truncate(order), n).poly, want)
+               euler_numerator(pref, cat.inverse(), n).poly, want)
 
 
 def _chk_ex61(ctx):
     top = min(5, ctx.max_n)
-    order = 2 * top + 2
     for beta in ctx.betas:
         for n in range(1, top + 1):
             g = beta_matrix("G", n, beta)
-            fam = beta_family(beta, 1, order)
-            fam_beta = beta_family(beta, beta, order)
-            fam1 = beta_family(beta + 1, 1, order)
-            fam1_beta = beta_family(beta + 1, beta, order)
+            fam = beta_family(beta, 1, n)
+            fam_beta = beta_family(beta, beta, n)
+            fam1 = beta_family(beta + 1, 1, n)
+            fam1_beta = beta_family(beta + 1, beta, n)
             pref = 1 + xdlog(fam_beta)
             pref1 = 1 + xdlog(fam1_beta)
             where = "n=%d beta=%s" % (n, beta)
@@ -887,6 +878,7 @@ def _chk_ex61(ctx):
             yield ("first column " + where,
                    g.column_poly(0), euler_numerator(fam1 * pref1, fam1, n).poly)
     rng = ctx.rng("ex6.1")
+    order = 2 * top + 2
     for trial in range(8):
         a = _rand_unit(rng, order + 1)
         for beta in (Q(1), Q(2)):
@@ -894,22 +886,20 @@ def _chk_ex61(ctx):
             h = a.pow(-beta).mul_x().reversion()
             image_b = (1 + xdlog(h.div_x()))
             for n in range(1, top + 1):
-                g_n = euler_numerator(Series.one(order + 1), a, n).poly
                 yield ("transport trial=%d beta=%s n=%d" % (trial, beta, n),
-                       beta_matrix("G", n, beta).apply(g_n),
+                       beta_matrix("G", n, beta).apply(alpha_poly(a, n)),
                        euler_numerator(image_b, lag, n).poly)
 
 
 def _chk_ex71(ctx):
     top = min(4, ctx.max_n)
-    order = 2 * (2 * top + 1)
     for beta in (Q(0), Q(1), Q(2)):
-        fam = beta_family(beta, 1, order + 1)
-        fam_beta = beta_family(beta, beta, order + 1)
-        pref = (1 + xdlog(fam_beta)) if beta != 0 else Series.one(order)
+        fam = beta_family(beta, 1, top)
+        fam_beta = beta_family(beta, beta, top)
+        pref = (1 + xdlog(fam_beta)) if beta != 0 else Series.one(top)
         for n in range(1, top + 1):
             scale = Q(factorial(2 * n), factorial(n))
-            want = narayana_numerator(pref.truncate(order), fam.truncate(order), n).poly
+            want = narayana_numerator(pref, fam, n).poly
             yield ("top column beta=%s n=%d" % (beta, n),
                    scale * beta_matrix("H", n, beta).column_poly(n), want)
     for n in range(1, min(6, ctx.max_n) + 1):
@@ -999,28 +989,29 @@ def _chk_section5(ctx):
         powers_a = _powers(Series.one(11), a, 12)
         for m in range(1, 11):
             for n in range(0, 11 - m):
-                yield ("pair trial=%d n=%d m=%d" % (trial, n, m), powers_b[m].coeffs[n],
-                       Q(m, m + n) * powers_a[m + n].coeffs[n])
+                yield ("pair trial=%d n=%d m=%d" % (trial, n, m), powers_b[m].coeff(n),
+                       Q(m, m + n) * powers_a[m + n].coeff(n))
     for trial in range(6):
         a = _rand_unit(rng, 13)
         for beta in (Q(1), Q(-1), Q(1, 2), Q(2)):
             lag = gen_lagrange_series(a, beta, 12)
             yield ("fixed point trial=%d beta=%s" % (trial, beta),
-                   a.compose(lag.pow(beta).mul_x()), lag)
-    ex = Series.from_poly([0, 1], 14).exp()
+                   a.compose(lag.pow(beta).mul_x()).truncate(12), lag)
+    ex = Series.x(12).exp()
     us = u_polys(ex, 8)
+    qs = [q_series(ex, n, 8) for n in range(9)]
     for beta in (Q(1), Q(2), Q(-1)):
         lag = gen_lagrange_series(ex, beta, 12)
         lag_us = u_polys(lag, 8)
         u_images = [beta_u_transform(us[n], n, beta) for n in range(9)]
-        q_images = [beta_q_transform(q_series(ex, n, 8), n, beta) for n in range(9)]
+        q_images = [beta_q_transform(qs[n], n, beta) for n in range(9)]
         for n in range(9):
             yield "u transform beta=%s n=%d" % (beta, n), u_images[n], lag_us[n]
         for n in range(5):
             yield ("q transform beta=%s n=%d" % (beta, n), q_images[n],
                    q_series(lag, n, 8))
         # entry (i, j) is sum over n of [x^i] q_n times [phi^j] u_n
-        resolvent = (FinMatrix([[q.coeffs[i] for q in q_images] for i in range(9)])
+        resolvent = (FinMatrix([[q.coeff(i) for q in q_images] for i in range(9)])
                      * FinMatrix([[u.coeff(j) for j in range(9)] for u in u_images]))
         yield "resolvent sum beta=%s" % beta, resolvent, FinMatrix.identity(9)
     rng2 = ctx.rng("section5-tables")
@@ -1035,10 +1026,10 @@ def _chk_section5(ctx):
                 yield ("round trip trial=%d v=%d k=%d" % (trial, v, k),
                        table_row(image_b, image_a, phi, -v, k, 8),
                        (b * a.pow(phi * k)).truncate(8))
-    b = Series.one(12)
-    am = Series.from_poly([1, -1], 12)
+    b = Series.one(8)
+    am = Series.from_poly([1, -1], 8)
     for k in range(-8, 9):
-        want = Series([am.pow(Q(-1) * (k + n)).coeffs[n] for n in range(9)], 8)
+        want = Series([am.pow(Q(-1) * (k + n)).coeff(n) for n in range(9)], 8)
         yield "ascending diagonal k=%d" % k, table_row(b, am, -1, 1, k, 8), want
 
 

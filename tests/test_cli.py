@@ -128,12 +128,13 @@ def test_numerator_alpha(capsys):
 
 
 def test_numerator_bumps_order(capsys):
-    # n = 4 needs order 18 even though the default is 16
-    code, out, _ = run(capsys, "numerator", "narayana", "--a", "1/(1-x)",
-                       "--n", "4", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["residual_checked"] == 5
+    # the order is raised to n (past the default 16 here), and to 1, where
+    # the expression language's x is defined
+    for n, order in ((18, "16"), (0, "0")):
+        code, out, _ = run(capsys, "numerator", "alpha", "--a", "1+x",
+                           "--n", str(n), "--order", order, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["coeffs"] == ["0"] * n + ["1"]
 
 
 def test_numerator_alpha_rejects_weight(capsys):

@@ -345,17 +345,29 @@ def test_poly_series_round_trip():
     assert s.coeffs == [Q(1), Q(0), Q(5, 3), Q(0), Q(0), Q(0), Q(0)]
 
 
+def test_series_equality_needs_equal_orders():
+    assert Series([1, 2, 3]) != Series([1, 2])
+    assert Series([1, 2]) != Series([1, 2, 0])
+    assert Series([1, 2, 3]).truncate(1) == Series([1, 2])
+    # a scalar is the constant series at the series' own order
+    assert Series([1, 0, 0]) == 1 and Series([1]) == 1
+    assert Series([1, 2]) != 1
+
+
 # -- the first-difference wording of a failed comparison ---------------------
 
 def test_mismatch_keeps_each_type_equality():
     assert _mismatch(Poly([1, 2], 1), Poly([1, 2, 0, 0], 3)) is None  # bounds differ
-    assert _mismatch(Series([1, 2, 3]), Series([1, 2])) is None  # truncating ==
+    assert _mismatch(Series([1, 2, 3]), Series([1, 2])) == "order 2, want 1"  # strict ==
     assert _mismatch([Q(1), Q(2)], [1, 2]) is None
 
 
 def test_mismatch_names_the_first_difference():
     assert _mismatch(Poly([1, 2], 1), Poly([1, 2, 3])) == "coefficient 2: got 0, want 3"
-    assert _mismatch(Series([1, 2, 5]), Series([1, 3])) == "coefficient 1: got 2, want 3"
+    assert _mismatch(Series([1, 2, 5]), Series([1, 3, 5])) == "coefficient 1: got 2, want 3"
+    # the orders come first, and a difference in order alone is named too
+    assert _mismatch(Series([1, 2, 5]), Series([1, 3])) == "order 2, want 1"
+    assert _mismatch(Series([1, 2]), Series([1, 2, 0])) == "order 1, want 2"
     assert (_mismatch(FinMatrix([[1, 2], [3, 4]]), FinMatrix([[1, 2], [3, Q(9, 2)]]))
             == "entry (1, 1): got 4, want 9/2")
     assert (_mismatch(FinMatrix([[1, 2]]), FinMatrix([[1], [2]]))

@@ -61,7 +61,7 @@ def test_gen_lagrange_series_one_plus_x_vs_reversion():
     a = Series.from_poly([1, 1], order + 1)
     got = gen_lagrange_series(a, 1, order)
     h = (a.inverse().mul_x()).reversion()
-    assert got == a.compose(h)
+    assert got == a.compose(h).truncate(order)
     # fixed point through an explicit composition
     assert a.compose(got.pow(1).mul_x().truncate(order)) == got
 

@@ -46,14 +46,51 @@ def test_euler_numerator_preconditions():
         euler_numerator(Series.one(12), Series.from_poly([2, 1], 12), 2)
     with pytest.raises(DomainError):
         euler_numerator(Series.zero(12), geo(12), 2)
-    with pytest.raises(RangeError):
-        euler_numerator(Series.one(5), geo(5), 2)
+
+
+def _pair(rng, order):
+    """A seeded weight b (b(0) != 0) and column series a (a(0) = 1)."""
+    b = [Q(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))]
+    b += [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)]
+    a = [Q(1)] + [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)]
+    return Series(b, order), Series(a, order)
+
+
+def test_extraction_at_order_n_matches_order_4n_plus_2():
+    rng = random.Random(20251019)
+    for extract in (euler_numerator, narayana_numerator):
+        for n in range(8):
+            b, a = _pair(rng, 4 * n + 2)
+            assert extract(b.truncate(n), a.truncate(n), n) == extract(b, a, n)
+
+
+def test_extraction_below_order_n_is_range_error():
+    for extract in (euler_numerator, narayana_numerator):
+        for n in range(1, 6):
+            with pytest.raises(RangeError, match="at least n = %d" % n):
+                extract(geo(n - 1), geo(n - 1), n)
+            with pytest.raises(RangeError):
+                extract(Series.one(n), geo(n - 1), n)
+            with pytest.raises(RangeError):
+                extract(geo(n - 1), geo(n), n)
+
+
+def test_coefficients_beyond_x_n_change_nothing():
+    rng = random.Random(17)
+    for extract in (euler_numerator, narayana_numerator):
+        for n in range(7):
+            b, a = _pair(rng, 2 * n + 3)
+            other_b, other_a = _pair(rng, 2 * n + 3)
+            b2 = Series(b.coeffs[: n + 1] + other_b.coeffs[n + 1:], b.order)
+            a2 = Series(a.coeffs[: n + 1] + other_a.coeffs[n + 1:], a.order)
+            assert b2 != b and a2 != a
+            assert extract(b2, a2, n) == extract(b, a, n)
 
 
 @pytest.mark.parametrize("call, args", [
     (euler_numerator, (geo(16), geo(16), -1)),
     (euler_numerator, (geo(16), geo(16), 2.0)),
-    (euler_numerator, (Series.one(3), geo(3), 2.0)),  # before the RangeError
+    (euler_numerator, (Series.one(1), geo(1), 2.0)),  # before the RangeError
     (narayana_numerator, (geo(16), geo(16), -1)),
     (narayana_numerator, (geo(16), geo(16), 2.0)),
     (alpha_poly, (geo(16), 2.0)),
@@ -72,15 +109,12 @@ def test_bad_n_is_domain_error(call, args):
         call(*args)
 
 
-def _perturbed_slice(real, flavor):
-    """``real`` (a row method) with entry 1 off by one for arrays of ``flavor``."""
-    def wrong(self, n):
-        got = real(self, n)
-        if self.flavor != flavor:
-            return got
-        entries = list(got)
+def _entry_1_off_by_one(real):
+    """``real`` with entry 1 of the sequence it returns off by one."""
+    def wrong(*args):
+        entries = list(real(*args))
         entries[1] += 1
-        return tuple(entries)
+        return entries
     return wrong
 
 
@@ -92,11 +126,10 @@ _RESIDUAL = (r"^numerator against the \(1-x\)\^%d residual window .*"
 def test_euler_numerator_catches_one_wrong_route(monkeypatch):
     one_plus_x = Series.from_poly([1, 1], 12)
     want = euler_numerator(one_plus_x, geo(12), 3)
-    for flavor, values in ((arrays.ORDINARY, "got 2, want 3"),  # the (b, a-1) row
-                           (arrays.SQUARE, "got 3, want 2")):  # the residual
+    for owner, name, values in ((arrays.RiordanArray, "row", "got 2, want 3"),  # (b, a-1)
+                                (numerator, "_square_row", "got 3, want 2")):  # residual
         with monkeypatch.context() as m:
-            m.setattr(arrays.RiordanArray, "row",
-                      _perturbed_slice(arrays.RiordanArray.row, flavor))
+            m.setattr(owner, name, _entry_1_off_by_one(getattr(owner, name)))
             with pytest.raises(ConsistencyError, match=_RESIDUAL % (4, 3, 1) + values):
                 euler_numerator(one_plus_x, geo(12), 3)
     assert euler_numerator(one_plus_x, geo(12), 3) == want
@@ -112,8 +145,7 @@ def test_narayana_numerator_catches_one_wrong_route(monkeypatch):
                            match=_RESIDUAL % (7, 3, 1) + "got 24, want 28"):
             narayana_numerator(Series.one(14), geo(14), 3)
     with monkeypatch.context() as m:  # the residual from the square row
-        m.setattr(arrays.RiordanArray, "row",
-                  _perturbed_slice(arrays.RiordanArray.row, arrays.SQUARE))
+        m.setattr(numerator, "_square_row", _entry_1_off_by_one(numerator._square_row))
         with pytest.raises(ConsistencyError,
                            match=_RESIDUAL % (7, 3, 1) + "got 48, want 24"):
             narayana_numerator(Series.one(14), geo(14), 3)
@@ -128,11 +160,6 @@ def test_narayana_numerator_examples():
     got = narayana_numerator(one_plus_x, one_plus_x, 3)
     assert got.poly == Poly([0, 0, 60, 60])
     assert got.residual_checked == 4
-
-
-def test_narayana_requires_big_order():
-    with pytest.raises(RangeError):
-        narayana_numerator(Series.one(8), geo(8), 2)
 
 
 def test_alpha_and_phi_families():
