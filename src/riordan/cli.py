@@ -147,7 +147,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_numerator(args) -> int:
     n = args.n
-    order = max(args.order, n, 1)  # x needs order 1
+    order = max(args.order, n)
     a = parse_series(args.a, order)
     b = parse_series(args.b, order)
     if args.family in ("alpha", "phi") and b != Series.one(order):
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_num.add_argument("--n", type=_nonneg_int, required=True)
     p_num.add_argument("--order", type=_nonneg_int, default=16,
                        help="evaluation order (raised to n, the least the "
-                            "extraction reads, and to 1)")
+                            "extraction reads)")
     p_num.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
     p_num.set_defaults(func=_cmd_numerator)

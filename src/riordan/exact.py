@@ -64,19 +64,19 @@ def falling_poly(n: int) -> Poly:
     return falling_from(0, n)
 
 
-# Coefficient tuples of the Eulerian polynomials A_0, A_1, ... by index,
-# extended on demand by A_(k+1) = x(1-x) A_k' + (k+1) x A_k, which on
-# coefficients reads [x^j] A_(k+1) = j [x^j] A_k + (k+2-j) [x^(j-1)] A_k.
-_EULERIAN = {0: (Q(1),)}
+# The Eulerian polynomials A_0, A_1, ... by index, extended on demand by
+# A_(k+1) = x(1-x) A_k' + (k+1) x A_k, which on coefficients reads
+# [x^j] A_(k+1) = j [x^j] A_k + (k+2-j) [x^(j-1)] A_k.
+_EULERIAN = {0: Poly([1])}
 
 
 def eulerian_poly(n: int) -> Poly:
     """Numerator of sum(m^n x^m): 1, x, x+x^2, x+4x^2+x^3, ..."""
     _count("eulerian_poly n", n)
     for k in range(len(_EULERIAN) - 1, n):
-        c = (Q(0),) + _EULERIAN[k] + (Q(0),)  # c[j + 1] is [x^j] A_k
+        c = (Q(0),) + _EULERIAN[k].coeffs + (Q(0),)  # c[j + 1] is [x^j] A_k
         # a thread extending the table at the same time stores the same
         # entry, and setdefault keeps whichever came first
-        _EULERIAN.setdefault(k + 1, tuple(j * c[j + 1] + (k + 2 - j) * c[j]
-                                          for j in range(k + 2)))
-    return Poly(_EULERIAN[n], n)
+        _EULERIAN.setdefault(k + 1, Poly([j * c[j + 1] + (k + 2 - j) * c[j]
+                                          for j in range(k + 2)]))
+    return _EULERIAN[n]

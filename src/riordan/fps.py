@@ -12,6 +12,14 @@ bound that may exceed its true degree; the reversal operator depends on
 the bound, not the degree.  Its equality pads the shorter side with
 zeros, so polynomials with different bounds compare by value.
 
+Both are values on one private core, ``_Coeffs``: the coefficients are
+a tuple of Fractions, fixed at construction, so no value changes once
+built, and the size (a Series' order, a Poly's bound) is the tuple's
+length less one.  The core defines the ring operations once, and each
+class gives only the size of a result: a Series sum or product has the
+smaller order of the two, a Poly sum the larger bound and a Poly product
+the sum of the bounds.
+
 Every product of coefficient lists (``Series * Series`` and
 ``Poly * Poly``) goes through one kernel, :func:`_convolve`, which uses
 Kronecker substitution: each operand is scaled to integers over the lcm
@@ -97,7 +105,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 Q = Fraction
 _ZERO = Q(0)
@@ -134,8 +142,8 @@ def _mismatch(got, want):
     if kind in (Poly, Series):
         # Poly pads the shorter side with zeros, as its == does
         n = max(len(got.coeffs), len(want.coeffs))
-        a = got.coeffs + [_ZERO] * (n - len(got.coeffs))
-        b = want.coeffs + [_ZERO] * (n - len(want.coeffs))
+        a = got.coeffs + (_ZERO,) * (n - len(got.coeffs))
+        b = want.coeffs + (_ZERO,) * (n - len(want.coeffs))
         k = next(k for k in range(n) if a[k] != b[k])
         return "coefficient %d: got %s, want %s" % (k, a[k], b[k])
     if kind is FinMatrix:
@@ -288,37 +296,93 @@ def _convolve(a, b, n: int) -> list:
     return out
 
 
-class Poly:
+class _Coeffs:
+    """The value core of Poly and Series (see the module docstring).  A
+    subclass names its size (``_SIZE``), fits coefficients to a size
+    (``_fit``) and gives the size of a sum and of a product."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs, size=None):
+        # from a list: CPython resizes a tuple built from an iterator, and its
+        # free lists then hoard the freed ones (2 MB of peak memory in the battery)
+        coeffs = tuple([_q(c) for c in coeffs])
+        if size is None:
+            size = max(len(coeffs) - 1, 0)
+        self.coeffs = self._fit(coeffs, _count(self._SIZE, size))
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if isinstance(other, _SCALARS):
+            return type(self)((self.coeffs[0] + other,) + self.coeffs[1:])
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
+        return type(self)([*map(add, a, b), *b[len(a): self._add_size(other) + 1]])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            q = _q(other)
+            return type(self)([c * q for c in self.coeffs])
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(_convolve(self.coeffs, other.coeffs, self._mul_size(other)))
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return "%s(%s, %s=%d)" % (type(self).__name__, [str(c) for c in self.coeffs],
+                                  self._SIZE, len(self.coeffs) - 1)
+
+
+class Poly(_Coeffs):
     """Dense exact-rational polynomial with an explicit degree bound."""
 
-    __slots__ = ("coeffs", "bound")
+    __slots__ = ()
+    _SIZE = "bound"
 
-    def __init__(self, coeffs, bound=None):
-        coeffs = [_q(c) for c in coeffs]
-        if bound is None:
-            bound = len(coeffs) - 1 if coeffs else 0
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        if len(coeffs) > bound + 1:
-            if any(c != 0 for c in coeffs[bound + 1:]):
-                raise DomainError("degree exceeds declared bound")
-            coeffs = coeffs[: bound + 1]
-        coeffs.extend([Q(0)] * (bound + 1 - len(coeffs)))
-        self.coeffs = coeffs
-        self.bound = bound
+    @staticmethod
+    def _fit(coeffs, bound):
+        """Zeros pad the coefficients to bound + 1; only zeros may be cut."""
+        if any(coeffs[bound + 1:]):
+            raise DomainError("degree exceeds declared bound")
+        return coeffs[: bound + 1] + (_ZERO,) * (bound + 1 - len(coeffs))
+
+    def _add_size(self, other):
+        return max(self.bound, other.bound)
+
+    def _mul_size(self, other):
+        return self.bound + other.bound
+
+    @property
+    def bound(self) -> int:
+        """The declared degree bound, which may exceed the true degree."""
+        return len(self.coeffs) - 1
 
     @classmethod
     def zero(cls, bound=0) -> "Poly":
-        return cls([], _count("bound", bound))
+        return cls([], bound)
 
     @classmethod
     def one(cls, bound=0) -> "Poly":
-        return cls([1], _count("bound", bound))
+        return cls([1], bound)
 
     @classmethod
     def monomial(cls, k: int, c=1, bound=None) -> "Poly":
         _count("degree", k)
-        return cls([Q(0)] * k + [_q(c)], k if bound is None else _count("bound", bound))
+        return cls([_ZERO] * k + [c], k if bound is None else bound)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient k; zero beyond the bound."""
@@ -344,41 +408,6 @@ class Poly:
         a, b = sorted((self.coeffs, other.coeffs), key=len)  # both zero-padded
         return a == b[: len(a)] and not any(b[len(a):])
 
-    __hash__ = None
-
-    def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Poly([other])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = sorted((self.coeffs, other.coeffs), key=len)
-        return Poly([x + y for x, y in zip(a, b)] + b[len(a):],
-                    max(self.bound, other.bound))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.bound)
-
-    def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Poly([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            q = _q(other)
-            return Poly([c * q for c in self.coeffs], self.bound)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        bound = self.bound + other.bound
-        return Poly(_convolve(self.coeffs, other.coeffs, bound), bound)
-
-    __rmul__ = __mul__
-
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise DomainError("polynomial powers need a nonnegative integer exponent")
@@ -393,7 +422,7 @@ class Poly:
 
     def reverse(self) -> "Poly":
         """Coefficient reversal relative to the declared bound."""
-        return Poly(list(reversed(self.coeffs)), self.bound)
+        return Poly(self.coeffs[::-1])
 
     def divexact(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division; raises on a nonzero remainder."""
@@ -421,27 +450,30 @@ class Poly:
         """Exact embedding: a polynomial determines every coefficient."""
         if _count("order", order) < self.degree():
             raise DomainError("polynomial degree exceeds requested order")
-        return Series((self.coeffs + [_ZERO] * order)[: order + 1], order)
-
-    def __repr__(self):
-        return "Poly(%s, bound=%d)" % ([str(c) for c in self.coeffs], self.bound)
+        return Series((self.coeffs + (_ZERO,) * order)[: order + 1], order)
 
 
-class Series:
+class Series(_Coeffs):
     """Formal power series truncated at a fixed order (inclusive)."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ()
+    _SIZE = "order"
 
-    def __init__(self, coeffs, order=None):
-        coeffs = [_q(c) for c in coeffs]
-        if order is None:
-            if not coeffs:
-                raise ValueError("empty coefficient list")
-            order = len(coeffs) - 1
-        if order < 0 or len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        self.coeffs = coeffs
-        self.order = order
+    @staticmethod
+    def _fit(coeffs, order):
+        if len(coeffs) != order + 1:
+            raise DomainError("need exactly order+1 coefficients")
+        return coeffs
+
+    def _add_size(self, other):
+        return min(self.order, other.order)
+
+    _mul_size = _add_size
+
+    @property
+    def order(self) -> int:
+        """The truncation order: coefficients 0..order are known."""
+        return len(self.coeffs) - 1
 
     # -- constructors ------------------------------------------------
 
@@ -466,7 +498,8 @@ class Series:
 
     @classmethod
     def x(cls, order: int) -> "Series":
-        return cls.from_poly([0, 1], order)
+        """x, which is the zero series at order 0."""
+        return cls(((_ZERO, Q(1)) + (_ZERO,) * _count("order", order))[: order + 1], order)
 
     @classmethod
     def geometric(cls, order: int) -> "Series":
@@ -496,44 +529,7 @@ class Series:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    __hash__ = None
-
     # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            q = _q(other)
-            out = list(self.coeffs)
-            out[0] += q
-            return Series(out, self.order)
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return Series([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            return self + (-_q(other))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            q = _q(other)
-            return Series([c * q for c in self.coeffs], self.order)
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return Series(_convolve(self.coeffs, other.coeffs, n), n)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; needs a nonzero constant term.
@@ -568,7 +564,7 @@ class Series:
 
     def mul_x(self) -> "Series":
         """Multiply by x; the order grows by one (coefficients all known)."""
-        return Series([Q(0)] + self.coeffs, self.order + 1)
+        return Series((_ZERO,) + self.coeffs, self.order + 1)
 
     def div_x(self) -> "Series":
         """Divide by x; needs a zero constant term, order drops by one."""
@@ -693,9 +689,6 @@ class Series:
 
     def sqrt(self) -> "Series":
         return self.pow(Q(1, 2))
-
-    def __repr__(self):
-        return "Series(%s, order=%d)" % ([str(c) for c in self.coeffs], self.order)
 
 
 def xdlog(a: Series) -> Series:

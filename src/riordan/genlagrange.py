@@ -220,7 +220,7 @@ def beta_u_transform(u: Poly, n: int, beta) -> Poly:
     beta = _q(beta)
     nb = n * beta
     if nb == 0:
-        return Poly(u.coeffs, u.bound)
+        return u
     agree("u transform: row polynomial u(0) against 0", u.coeff(0), Q(0), n=n, beta=beta)
     return (shift_matrix(nb, u.bound + 1).apply(u) * _X).divexact(Poly([nb, 1]))
 
@@ -230,7 +230,7 @@ def beta_q_transform(q: Series, n: int, beta) -> Series:
     beta = _q(beta)
     nb = n * beta
     if nb == 0:
-        return Series(q.coeffs, q.order)
+        return q
     den = Series.from_poly([1, nb], q.order)
     inner = Series.x(q.order) / den
     return q.compose(inner) / den

@@ -82,7 +82,7 @@ class FinMatrix:
             if isinstance(p, Poly):
                 if p.degree() > n_rows - 1:
                     raise DomainError("column polynomial too long for the matrix")
-                cols.append((p.coeffs + [Q(0)] * n_rows)[:n_rows])
+                cols.append((p.coeffs + (Q(0),) * n_rows)[:n_rows])
             else:
                 coeffs = [_q(v) for v in p]
                 if len(coeffs) > n_rows:

@@ -546,8 +546,8 @@ def _chk_thm32(ctx):
     top = min(6, ctx.max_n)
     order = 2 * (2 * top + 1)
     for trial in range(20):
-        b = _rand_weight(rng, order)
-        a = _rand_unit(rng, order)
+        b = _rand_weight(rng, order).truncate(top)
+        a = _rand_unit(rng, order).truncate(top)
         xabar = a.mul_x().reversion()
         abar = xabar.div_x()
         image_b = b.compose(xabar) * xabar.derivative()

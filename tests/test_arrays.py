@@ -25,10 +25,10 @@ def rand_series(rng, order, first=None):
 
 def rand_proper(rng, order):
     f = rand_series(rng, order, first=rng.choice([1, -1, 2]))
-    g = rand_series(rng, order)
-    g.coeffs[0] = Q(0)
-    g.coeffs[1] = Q(rng.choice([1, -1, 2]), rng.randint(1, 2))
-    return RiordanArray(f, g)
+    g = list(rand_series(rng, order).coeffs)
+    g[0] = Q(0)
+    g[1] = Q(rng.choice([1, -1, 2]), rng.randint(1, 2))
+    return RiordanArray(f, Series(g, order))
 
 
 def test_pascal_row():

@@ -37,6 +37,10 @@ def test_series_genbin_half(capsys):
     assert out.strip() == "1, 1, 1/2, 1/8"
 
 
+def test_series_x_at_order_0_is_zero(capsys):
+    assert run(capsys, "series", "x", "--order", "0") == (0, "0\n", "")
+
+
 def test_series_parse_error(capsys):
     code, out, err = run(capsys, "series", "1 + $")
     assert code == 1
@@ -128,8 +132,6 @@ def test_numerator_alpha(capsys):
 
 
 def test_numerator_bumps_order(capsys):
-    # the order is raised to n (past the default 16 here), and to 1, where
-    # the expression language's x is defined
     for n, order in ((18, "16"), (0, "0")):
         code, out, _ = run(capsys, "numerator", "alpha", "--a", "1+x",
                            "--n", str(n), "--order", order, "--format", "json")

@@ -125,4 +125,4 @@ def test_product_matches_schoolbook():
         want = schoolbook(a, b)
         assert (FinMatrix(a) * FinMatrix(b)).data == tuple(map(tuple, want))
         vec = [col[0] for col in b]
-        assert FinMatrix(a).apply(Poly(vec, len(vec) - 1)).coeffs == [r[0] for r in want]
+        assert FinMatrix(a).apply(Poly(vec, len(vec) - 1)).coeffs == tuple(r[0] for r in want)

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from riordan import arrays, exact, numerator, verify
-from riordan.cli import CORE_KINDS, EXP_KINDS, TILDE_KINDS
+from riordan.cli import CORE_KINDS, EXP_KINDS
 from riordan.fps import ConsistencyError, DomainError, Poly, RangeError, Series
 from riordan.genlagrange import gen_binomial_series
 from riordan.matrix import FinMatrix
@@ -428,7 +428,8 @@ def test_vanishing_linear_coefficient_supported():
 
 _MEMOIZED = [(core_matrix, [(kind, n) for kind in CORE_KINDS for n in range(1, 9)]),
              (exp_matrix, [(kind, n) for kind in EXP_KINDS for n in range(1, 9)]),
-             (tilde_matrix, [(kind, n) for kind in TILDE_KINDS for n in range(1, 9)]),
+             (tilde_matrix, [(kind, n) for kind in [*numerator._TILDE_PARENTS, "Jt", "Dt"]
+                             for n in range(1, 9)]),
              (W_matrix, [(n, m) for n in range(1, 7) for m in range(1, 5)])]
 
 
