@@ -76,7 +76,7 @@ class RiordanArray:
             raise RangeError("row %d beyond order %d" % (n, self.order))
         top = n if self.flavor != SQUARE else self.order
         cols = _powers(self.f.truncate(n), self.g.truncate(n), top + 1)
-        return tuple(self._weight(n, m) * p.coeffs[n] for m, p in enumerate(cols))
+        return tuple([self._weight(n, m) * p.coeffs[n] for m, p in enumerate(cols)])
 
     def row_poly(self, n: int) -> Poly:
         row = self.row(n)
@@ -88,7 +88,7 @@ class RiordanArray:
         if self.flavor != SQUARE and m > self.order:
             raise RangeError("column %d beyond order %d" % (m, self.order))
         p = self.f * self.g.pow(m)
-        return tuple(self._weight(n, m) * p.coeffs[n] for n in range(self.order + 1))
+        return tuple([self._weight(n, m) * p.coeffs[n] for n in range(self.order + 1)])
 
     def diagonal(self, n: int) -> tuple:
         """Descending diagonal n: entries (n+m, m) for m = 0..order-n."""
@@ -96,7 +96,7 @@ class RiordanArray:
         if n > self.order:
             raise RangeError("diagonal %d beyond order %d" % (n, self.order))
         cols = _powers(self.f, self.g, self.order - n + 1)
-        return tuple(self._weight(n + m, m) * p.coeffs[n + m] for m, p in enumerate(cols))
+        return tuple([self._weight(n + m, m) * p.coeffs[n + m] for m, p in enumerate(cols)])
 
     # -- group structure ---------------------------------------------------
 

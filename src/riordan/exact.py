@@ -4,6 +4,10 @@ Generalized binomial coefficients with a rational upper argument,
 ascending and descending factorials as polynomials, and the classical
 Eulerian polynomials.
 
+A_n comes from its definition, with no table: it is the window
+(1-x)^(n+1) sum(m^n x^m) through x^n, which :func:`_window` also
+builds for the connection matrices U and F.
+
 For a rational phi = p/q, binom(phi, k) takes the integer product of the
 p - iq over q^k k!, reduced once rather than k times as k Fraction
 products would be.
@@ -16,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .fps import DomainError, Poly, Q, _count, _q
+from .fps import DomainError, Poly, Q, _convolve, _count, _q
 
 
 def binom(phi, k: int) -> Fraction:
@@ -64,19 +68,16 @@ def falling_poly(n: int) -> Poly:
     return falling_from(0, n)
 
 
-# The Eulerian polynomials A_0, A_1, ... by index, extended on demand by
-# A_(k+1) = x(1-x) A_k' + (k+1) x A_k, which on coefficients reads
-# [x^j] A_(k+1) = j [x^j] A_k + (k+2-j) [x^(j-1)] A_k.
-_EULERIAN = {0: Poly([1])}
+def _window(values, power: int) -> Poly:
+    """(1-x)^power * sum(values[m] x^m) through x^(len(values)-1): one
+    kernel product with the integers (-1)^k C(power, k)."""
+    n = len(values) - 1
+    window = [1]
+    for k in range(n):
+        window.append(-window[-1] * (power - k) // (k + 1))
+    return Poly(_convolve(values, window, n), n)
 
 
 def eulerian_poly(n: int) -> Poly:
     """Numerator of sum(m^n x^m): 1, x, x+x^2, x+4x^2+x^3, ..."""
-    _count("eulerian_poly n", n)
-    for k in range(len(_EULERIAN) - 1, n):
-        c = (Q(0),) + _EULERIAN[k].coeffs + (Q(0),)  # c[j + 1] is [x^j] A_k
-        # a thread extending the table at the same time stores the same
-        # entry, and setdefault keeps whichever came first
-        _EULERIAN.setdefault(k + 1, Poly([j * c[j + 1] + (k + 2 - j) * c[j]
-                                          for j in range(k + 2)]))
-    return _EULERIAN[n]
+    return _window([m ** n for m in range(_count("eulerian_poly n", n) + 1)], n + 1)

@@ -424,27 +424,12 @@ class Poly(_Coeffs):
         """Coefficient reversal relative to the declared bound."""
         return Poly(self.coeffs[::-1])
 
-    def divexact(self, divisor: "Poly") -> "Poly":
-        """Exact polynomial division; raises on a nonzero remainder."""
-        d = divisor.degree()
-        dc = divisor.coeffs
-        lead = dc[d]
-        if lead == 0:
-            raise DomainError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        out = [Q(0)] * max(len(rem) - d, 1)
-        for k in range(len(rem) - 1, d - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            q = c / lead
-            out[k - d] = q
-            for j in range(d + 1):
-                rem[k - d + j] -= q * dc[j]
-        if any(c != 0 for c in rem):
-            raise DomainError("inexact polynomial division")
-        bound = max(self.bound - d, 0)
-        return Poly(out, max(bound, len(out) - 1))
+    def div_x(self) -> "Poly":
+        """Divide by x; needs a zero constant term, and the bound drops by
+        one (to no less than 0)."""
+        if self.coeffs[0] != 0:
+            raise DomainError("not divisible by x")
+        return Poly(self.coeffs[1:], max(self.bound - 1, 0))
 
     def to_series(self, order: int) -> "Series":
         """Exact embedding: a polynomial determines every coefficient."""

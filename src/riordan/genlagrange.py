@@ -23,11 +23,13 @@ t_poly(n, phi, beta') = sum_m binom(phi, m) binom(beta', n-m) x^m:
 
   The sum is the product M B of the matrix M whose column m holds the
   coefficients of t_m and the band B[m][p] = C(d-p, d-m), which is zero
-  for m < p.  Entry (i, p) of M B is sum(C(d-p, d-m) [x^i] t_m), the
-  coefficient of x^i in column p, and both are exact rational sums, so
-  the product equals the column sums entry for entry; it builds each
-  t_m once instead of once per column.  G is the same formula with
-  (d, c) = (n, 0), but its printed column is faster to build.
+  for m < p.  B is the memoized connection matrix V(d), whose column p
+  x^p (1+x)^(d-p) has entry C(d-p, m-p) = C(d-p, d-m) in row m.  Entry
+  (i, p) of M B is sum(C(d-p, d-m) [x^i] t_m), the coefficient of x^i in
+  column p, and both are exact rational sums, so the product equals the
+  column sums entry for entry; it builds each t_m once instead of once
+  per column.  G is the same formula with (d, c) = (n, 0), but its
+  printed column is faster to build.
 - alpha_n = (1/n) x t_poly(n-1, n(1-beta), n*beta) and
   phi_n = ((n+1)!/n) x t_poly(n-1, n(2-beta), n*beta) are the
   numerator polynomials of the family lag = a(x * lag^beta).
@@ -110,7 +112,7 @@ def gen_lagrange_series(a: Series, beta, order: int) -> Series:
           lag.pow(beta), h.div_x().truncate(order), order=order, beta=beta)
     us = u_polys(a, order)
     # coefficient 0 is lag(0) = a(0) = 1; the row formula gives the rest
-    formula = Series([Q(1)] + [us[k].divexact(_X).eval(1 + beta * k) / factorial(k)
+    formula = Series([Q(1)] + [us[k].div_x().eval(1 + beta * k) / factorial(k)
                                for k in range(1, order + 1)], order)
     agree("generalized Lagrange series: reversion against the row formula",
           lag, formula, order=order, beta=beta)
@@ -162,13 +164,12 @@ def _band_closed(d: int, c: int, nb: Fraction) -> FinMatrix:
     t_m = t_poly(m, m + c - n*beta, n*beta) (1-x)^(d-m) / C(m+c, m)."""
     terms = [t_poly(m, m + c - nb, nb) * _ONE_MINUS_X ** (d - m) * Q(1, comb(m + c, m))
              for m in range(d + 1)]
-    band = FinMatrix([[comb(d - p, d - m) for p in range(d + 1)] for m in range(d + 1)])
-    return FinMatrix.from_columns(terms, d + 1) * band
+    return FinMatrix.from_columns(terms, d + 1) * core_matrix("V", d)
 
 
 def _x_closed(n: int) -> FinMatrix:
     size = n + 1
-    cols = [(_ONE_MINUS_X - _ONE_MINUS_X ** (n + 1)).divexact(_X).with_bound(n)]
+    cols = [(_ONE_MINUS_X - _ONE_MINUS_X ** (n + 1)).div_x()]
     for p in range(1, size):
         cols.append(Poly.monomial(p - 1) * _ONE_MINUS_X)
     return FinMatrix.from_columns(cols, size)
@@ -216,13 +217,15 @@ def _down_shift(size: int) -> FinMatrix:
 
 def beta_u_transform(u: Poly, n: int, beta) -> Poly:
     """x/(x + n*beta) * u(x + n*beta), exact.  With n*beta != 0 the
-    division is exact just when u(0) = 0, which :func:`agree` demands."""
+    division is exact just when u(0) = 0, which :func:`agree` demands;
+    then u = x*v and the transform is x * v(x + n*beta)."""
     beta = _q(beta)
     nb = n * beta
     if nb == 0:
         return u
     agree("u transform: row polynomial u(0) against 0", u.coeff(0), Q(0), n=n, beta=beta)
-    return (shift_matrix(nb, u.bound + 1).apply(u) * _X).divexact(Poly([nb, 1]))
+    v = u.div_x()
+    return _X * shift_matrix(nb, v.bound + 1).apply(v)
 
 
 def beta_q_transform(q: Series, n: int, beta) -> Series:

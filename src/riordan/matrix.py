@@ -44,7 +44,7 @@ class FinMatrix:
     __slots__ = ("n_rows", "n_cols", "data")
 
     def __init__(self, rows):
-        data = tuple(tuple([_q(v) for v in row]) for row in rows)
+        data = tuple([tuple([_q(v) for v in row]) for row in rows])
         if not data or not data[0]:
             raise ValueError("matrix needs at least one entry")
         width = len(data[0])
@@ -76,19 +76,12 @@ class FinMatrix:
 
     @classmethod
     def from_columns(cls, polys, n_rows: int) -> "FinMatrix":
-        """Column j holds the coefficients of polys[j], padded to n_rows."""
+        """Column j holds the coefficients of the Poly polys[j], padded to n_rows."""
         cols = []
         for p in polys:
-            if isinstance(p, Poly):
-                if p.degree() > n_rows - 1:
-                    raise DomainError("column polynomial too long for the matrix")
-                cols.append((p.coeffs + (Q(0),) * n_rows)[:n_rows])
-            else:
-                coeffs = [_q(v) for v in p]
-                if len(coeffs) > n_rows:
-                    raise DomainError("column too long for the matrix")
-                coeffs.extend([Q(0)] * (n_rows - len(coeffs)))
-                cols.append(coeffs)
+            if p.degree() > n_rows - 1:
+                raise DomainError("column polynomial too long for the matrix")
+            cols.append((p.coeffs + (Q(0),) * n_rows)[:n_rows])
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(n_rows)])
 
     # -- accessors -------------------------------------------------------

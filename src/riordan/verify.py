@@ -355,16 +355,15 @@ def _closed_family(ctx, numerator, closed):
 
 def _end_columns(ctx, kind, scale, closed, dual):
     """scale(n) times the last column of K = beta_matrix(kind, n, beta) is
-    closed(n, beta)/t, and scale(n) times its first column is
-    closed(n, dual + beta)/t."""
-    t = Poly([0, 1])
+    closed(n, beta)/x, and scale(n) times its first column is
+    closed(n, dual + beta)/x."""
     for n in range(1, ctx.max_n + 1):
         for beta in ctx.betas:
             k = beta_matrix(kind, n, beta)
             for end, j, b in (("last", n - 1, beta), ("first", 0, dual + beta)):
                 yield ("%s column n=%d beta=%s" % (end, n, beta),
                        scale(n) * k.column_poly(j),
-                       closed(n, b).divexact(t).with_bound(n - 1))
+                       closed(n, b).div_x())
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -761,7 +760,7 @@ def _chk_ex31(ctx):
     cat = _catalan(top)
     for n in range(1, top + 1):
         u = RiordanArray(Series.one(top), cat.log(), EXPONENTIAL).sheffer_row(n)
-        yield ("u_%d over x" % n, u.divexact(Poly([0, 1])),
+        yield ("u_%d over x" % n, u.div_x(),
                exact.rising_from(n + 1, n - 1).with_bound(n - 1))
         lifted = exact.rising_from(n + 1, n).with_bound(n)
         yield ("constant image n=%d" % n, exp_matrix("F", n).apply(lifted),
@@ -952,7 +951,7 @@ def _chk_w_amazing(ctx):
     for n in range(1, top + 1):
         jt = tilde_matrix("Jt", n)
         vt = tilde_matrix("Vt", n)
-        a_t = exact.eulerian_poly(n).divexact(Poly([0, 1])).with_bound(n - 1)
+        a_t = exact.eulerian_poly(n).div_x()
         for m in range(1, 5):
             w = W_matrix(n, m)
             where = "n=%d m=%d" % (n, m)

@@ -76,8 +76,7 @@ def _eulerian_by_recurrence(n):
     return a.with_bound(max(n, a.degree()))
 
 
-def test_eulerian_table_out_of_order(monkeypatch):
-    monkeypatch.setattr(exact, "_EULERIAN", {0: Poly([1])})
+def test_eulerian_table_out_of_order():
     for n in [12, 3, 20, 0, 7, 1, 19, 12, 2, 15, 4, 5, 6, 8, 9, 10, 11, 13,
               14, 16, 17, 18]:
         got = exact.eulerian_poly(n)

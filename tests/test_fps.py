@@ -332,12 +332,13 @@ def test_poly_reverse_uses_bound():
     assert p.reverse() == Poly([0, 0, 1, 0], 3)
 
 
-def test_poly_divexact():
+def test_poly_div_x():
     p = Poly([0, 2, 3, 1])  # x(x+1)(x+2)
-    assert p.divexact(Poly([0, 1])) == Poly([2, 3, 1])
-    assert p.divexact(Poly([1, 1])) == Poly([0, 2, 1])
+    assert p.div_x() == Poly([2, 3, 1]) and p.div_x().bound == 2
+    assert Poly([0, 1], 4).div_x().bound == 3
+    assert Poly.zero().div_x().bound == 0
     with pytest.raises(DomainError):
-        Poly([1, 1]).divexact(Poly([0, 1]))
+        Poly([1, 1]).div_x()
 
 
 def test_poly_series_round_trip():

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction as Q
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -14,6 +14,7 @@ from riordan.numerator import (NumeratorResult, W_matrix, alpha_poly,
                                core_matrix, euler_numerator, exp_matrix,
                                narayana_numerator, phi_poly, shift_matrix,
                                strided_matrix, tilde_matrix)
+from test_exact import _eulerian_by_recurrence
 
 
 def geo(order):
@@ -187,6 +188,40 @@ def test_core_matrix_inverse_pairs():
         assert j * j == FinMatrix.identity(size)
 
 
+def _ref_u(n, eulerian):
+    """U's earlier builder: column p is (1/n!) (1-x)^(n-p) A_p."""
+    cols = [Q(1, factorial(n)) * Poly([1, -1]) ** (n - p) * eulerian[p]
+            for p in range(n + 1)]
+    return FinMatrix.from_columns(cols, n + 1)
+
+
+def _ref_f(n):
+    """F's earlier builder: one (1-x)^(2n+1) window, a Series product per column."""
+    size = n + 1
+    window = Series((Poly([1, -1]) ** (2 * n + 1)).coeffs[:size], n)
+    cols = [Poly((Series([m ** p * comb(m + n, n) for m in range(size)], n) * window).coeffs)
+            for p in range(size)]
+    return FinMatrix.from_columns(cols, size)
+
+
+def _ref_falling_rising(n, c, scale):
+    """The earlier explicit Uinv (c = 1) and Finv (c = n+1) columns:
+    scale * x(x-1)...(x-p+1) * (x+c)(x+c+1)...(x+c+n-p-1)."""
+    cols = [scale * exact.falling_poly(p) * exact.rising_from(c, n - p) for p in range(n + 1)]
+    return FinMatrix.from_columns(cols, n + 1)
+
+
+def test_window_builders_match_their_references():
+    eulerian = [_eulerian_by_recurrence(p) for p in range(33)]
+    for n in range(0, 33):
+        assert core_matrix("U", n).data == _ref_u(n, eulerian).data
+        assert core_matrix("Uinv", n).data == _ref_falling_rising(n, 1, 1).data
+        if n >= 1:
+            assert exp_matrix("F", n).data == _ref_f(n).data
+            assert (exp_matrix("Finv", n).data
+                    == _ref_falling_rising(n, n + 1, Q(factorial(n), factorial(2 * n))).data)
+
+
 def test_v_action_is_mobius_substitution():
     # V c(x) = (1+x)^n c(x/(1+x))
     rng = random.Random(41)
@@ -241,7 +276,7 @@ def test_tilde_matrices_match_their_closed_forms():
     one_minus_x = Poly([1, -1])
     for n in range(1, 9):
         ut = [Q(1, factorial(n)) * one_minus_x ** (n - 1 - p)
-              * exact.eulerian_poly(p + 1).divexact(Poly([0, 1])) for p in range(n)]
+              * exact.eulerian_poly(p + 1).div_x() for p in range(n)]
         utinv = [exact.falling_from(-1, p) * exact.rising_from(1, n - p - 1)
                  for p in range(n)]
         ftinv = [Q(factorial(n), factorial(2 * n)) * exact.falling_from(-1, p)
@@ -256,16 +291,12 @@ def test_tilde_matrices_match_their_closed_forms():
 
 
 def test_ftinv_product_representation():
-    # (x+n, x)^{-1} E^{-1} Finv restricted to the leading n columns
+    # (x+n) Ftinv is E^{-1} Finv restricted to the leading n columns
     for n in range(2, 7):
-        finv = exp_matrix("Finv", n)
-        shifted = shift_matrix(-1, n + 1) * finv
-        cols = []
+        shifted = shift_matrix(-1, n + 1) * exp_matrix("Finv", n)
+        ftinv = tilde_matrix("Ftinv", n)
         for p in range(n):
-            col = shifted.column_poly(p)
-            cols.append(col.divexact(Poly([n, 1])))
-        got = FinMatrix.from_columns(cols, n)
-        assert got == tilde_matrix("Ftinv", n)
+            assert ftinv.column_poly(p) * Poly([n, 1]) == shifted.column_poly(p)
 
 
 def test_tilde_s_factorization():
