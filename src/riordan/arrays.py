@@ -37,7 +37,7 @@ class RiordanArray:
             if f.coeffs[0] == 0:
                 raise DomainError("square flavor needs b(0) != 0")
         else:
-            raise ValueError("unknown flavor %r" % (flavor,))
+            raise DomainError("unknown flavor %r" % (flavor,))
         self.f = f
         self.g = g
         self.flavor = flavor

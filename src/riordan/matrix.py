@@ -46,10 +46,10 @@ class FinMatrix:
     def __init__(self, rows):
         data = tuple([tuple([_q(v) for v in row]) for row in rows])
         if not data or not data[0]:
-            raise ValueError("matrix needs at least one entry")
+            raise DomainError("matrix needs at least one entry")
         width = len(data[0])
         if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
+            raise DomainError("ragged rows")
         self.data = data
         self.n_rows = len(data)
         self.n_cols = width

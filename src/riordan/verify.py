@@ -19,6 +19,20 @@ comparison per rational point t0, labelled ``t=...`` (``_alpha_gf``,
 ``_phi_gf``), so a failure names t0 and the first differing coefficient,
 and one more: the number of distinct points used against the
 order_x + 1 that decide the identity.
+
+Most theorem checks stand on two walks and three shapes.  ``_per_n``
+compares pair(n) for n = first_n..max_n: the alternations L E Alt R = +-J
+(thm2.1, 3.1, 8.1, 8.3) and the S identities (thm4.1-4.3).  ``_per_n_beta``
+compares one pair per n and beta, doing what depends on n alone once per
+n: K(-beta) = J K(beta) J (thm6.1, 7.1, 9.1, 9.4), K as a conjugated
+binomial band (thm6.2, 9.2) and the closed numerators against extraction
+(eq2, eq3).  ``_end_columns`` holds the end columns of H, A or T against
+closed forms (thm7.2, 9.3, 9.5), ``_reductions`` K(n, beta) carried down
+m orders against K(n-m, n*beta/(n-m)) (thm6.3, 9.3), and ``_duality``
+closed(n, dual - beta) = x reverse(closed(n, beta)) (thm2.5, 4.5).  The
+printed matrices of eleven constructors are one table, ``_FIXED``.
+Library functions are named inside lambdas, so that a name rebound after
+import reaches every check.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ from __future__ import annotations
 import random
 import zlib
 from collections import namedtuple
+from fractions import Fraction
 from math import comb, factorial
 
 from . import exact
@@ -34,7 +49,7 @@ from .fps import DomainError, Poly, Q, Series, _mismatch, _powers, _q, xdlog
 from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
                           beta_q_transform, beta_u_transform,
                           gen_binomial_series, gen_lagrange_series, q_series,
-                          u_polys)
+                          t_poly, u_polys)
 from .matrix import FinMatrix
 from .numerator import (W_matrix, alpha_poly, alt_matrix, core_matrix,
                         euler_numerator, exp_matrix, narayana_numerator,
@@ -116,45 +131,12 @@ def beta_family(beta, phi, order: int) -> Series:
 # -- fixtures -----------------------------------------------------------------
 
 _M = FinMatrix
+_X = Poly([0, 1])
 
-_FIX_U = {
-    1: _M([[1, 0], [-1, 1]]),
-    2: _M([[1, 0, 0], [-2, 1, 1], [1, -1, 1]]) * Q(1, 2),
-    3: _M([[1, 0, 0, 0], [-3, 1, 1, 1], [3, -2, 0, 4], [-1, 1, -1, 1]]) * Q(1, 6),
-}
-_FIX_UINV = {
-    1: _M([[1, 0], [1, 1]]),
-    2: _M([[2, 0, 0], [3, 1, -1], [1, 1, 1]]),
-    3: _M([[6, 0, 0, 0], [11, 2, -1, 2], [6, 3, 0, -3], [1, 1, 1, 1]]),
-}
 _FIX_J3 = _M([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
 _FIX_V3 = _M([[1, 0, 0, 0], [3, 1, 0, 0], [3, 2, 1, 0], [1, 1, 1, 1]])
 _FIX_V3INV = _M([[1, 0, 0, 0], [-3, 1, 0, 0], [3, -2, 1, 0], [-1, 1, -1, 1]])
 _FIX_EULER = [[1], [0, 1], [0, 1, 1], [0, 1, 4, 1], [0, 1, 11, 11, 1]]
-_FIX_F = {
-    1: _M([[1, 0], [-1, 2]]),
-    2: _M([[1, 0, 0], [-2, 3, 3], [1, -3, 9]]),
-    3: _M([[1, 0, 0, 0], [-3, 4, 4, 4], [3, -8, 12, 52], [-1, 4, -16, 64]]),
-}
-_FIX_FINV = {
-    1: _M([[2, 0], [1, 1]]) * Q(1, 2),
-    2: _M([[12, 0, 0], [7, 3, -1], [1, 1, 1]]) * Q(2, 24),
-    3: _M([[120, 0, 0, 0], [74, 20, -4, 2], [15, 9, 3, -3], [1, 1, 1, 1]]) * Q(6, 720),
-}
-_FIX_S = {
-    1: _M([[1, 0], [1, 2]]),
-    2: _M([[1, 0, 0], [4, 3, 0], [1, 3, 6]]) * 2,
-    3: _M([[1, 0, 0, 0], [9, 4, 0, 0], [9, 12, 10, 0], [1, 4, 10, 20]]) * 6,
-    4: _M([[1, 0, 0, 0, 0], [16, 5, 0, 0, 0], [36, 30, 15, 0, 0],
-           [16, 30, 40, 35, 0], [1, 5, 15, 35, 70]]) * 24,
-}
-_FIX_SINV = {
-    1: _M([[2, 0], [-1, 1]]) * Q(1, 2),
-    2: _M([[6, 0, 0], [-8, 2, 0], [3, -1, 1]]) * Q(2, 24),
-    3: _M([[20, 0, 0, 0], [-45, 5, 0, 0], [36, -6, 2, 0], [-10, 2, -1, 1]]) * Q(6, 720),
-    4: _M([[70, 0, 0, 0, 0], [-224, 14, 0, 0, 0], [280, -28, "14/3", 0, 0],
-           [-160, 20, "-16/3", 2, 0], [35, -5, "5/3", -1, 1]]) * Q(24, 40320),
-}
 _FIX_G = {
     1: _M([[2, 1], [-1, 0]]),
     2: _M([[6, 3, 1], [-8, -3, 0], [3, 1, 0]]),
@@ -174,11 +156,6 @@ _FIX_G_ROOT = {
     4: _M([[5, 1, 0, 0, 0], [-10, 0, 1, 0, 0], [10, 0, 0, 1, 0],
            [-5, 0, 0, 0, 1], [1, 0, 0, 0, 0]]),
 }
-_FIX_H = {
-    1: _M([[3, 1], [-1, 1]]) * Q(1, 2),
-    2: _M([[15, 5, 1], [-12, 2, 4], [3, -1, 1]]) * Q(1, 6),
-    3: _M([[84, 28, 7, 1], [-108, -4, 15, 9], [54, -6, -1, 9], [-10, 2, -1, 1]]) * Q(1, 20),
-}
 _FIX_UT4 = _M([[1, 1, 1, 1], [-3, -1, 3, 11], [3, -1, -3, 11], [-1, 1, -1, 1]]) * Q(1, 24)
 _FIX_UT4INV = _M([[6, -2, 2, -6], [11, -1, -1, 11], [6, 2, -2, -6], [1, 1, 1, 1]])
 _FIX_FT4 = _M([[1, 1, 1, 1], [-3, 3, 15, 39], [3, -9, 9, 171], [-1, 5, -25, 125]]) * 5
@@ -197,18 +174,6 @@ _FIX_W = {
     (4, 4): _M([[35, 15, 5, 1], [155, 135, 101, 65], [65, 101, 135, 155],
                 [1, 5, 15, 35]]),
 }
-_FIX_A = {
-    2: _M([[2, 1], [-1, 0]]),
-    3: _M([[5, "5/2", 1], [-6, -2, 0], [2, "1/2", 0]]),
-    4: _M([[14, 7, 3, 1], [-28, "-35/3", "-10/3", 0], [20, "22/3", "5/3", 0],
-           [-5, "-5/3", "-1/3", 0]]),
-}
-_FIX_T = {
-    2: _M([[3, 1], [-1, 1]]) * Q(1, 2),
-    3: _M([[12, 4, 1], [-9, 2, 3], [2, -1, 1]]) * Q(1, 5),
-    4: _M([[55, "55/3", 5, 1], [-66, 0, 10, 6], [30, -6, 0, 6],
-           [-5, "5/3", -1, 1]]) * Q(1, 14),
-}
 _FIX_TRIANGLES = {
     "bell-shift": [[1], [1, 1], [0, 2, 1], [0, 1, 3, 1], [0, 0, 3, 4, 1],
                    [0, 0, 1, 6, 5, 1]],
@@ -220,6 +185,63 @@ _FIX_TRIANGLES = {
                       [126, 15, 1, 0, -3, 1]],
 }
 
+_FIXED = {  # label: (constructor at n, printed matrices by n)
+    "U": (lambda n: core_matrix("U", n), {
+        1: _M([[1, 0], [-1, 1]]),
+        2: _M([[1, 0, 0], [-2, 1, 1], [1, -1, 1]]) * Q(1, 2),
+        3: _M([[1, 0, 0, 0], [-3, 1, 1, 1], [3, -2, 0, 4], [-1, 1, -1, 1]]) * Q(1, 6)}),
+    "Uinv": (lambda n: core_matrix("Uinv", n), {
+        1: _M([[1, 0], [1, 1]]),
+        2: _M([[2, 0, 0], [3, 1, -1], [1, 1, 1]]),
+        3: _M([[6, 0, 0, 0], [11, 2, -1, 2], [6, 3, 0, -3], [1, 1, 1, 1]])}),
+    "F": (lambda n: exp_matrix("F", n), {
+        1: _M([[1, 0], [-1, 2]]),
+        2: _M([[1, 0, 0], [-2, 3, 3], [1, -3, 9]]),
+        3: _M([[1, 0, 0, 0], [-3, 4, 4, 4], [3, -8, 12, 52], [-1, 4, -16, 64]])}),
+    "Finv": (lambda n: exp_matrix("Finv", n), {
+        1: _M([[2, 0], [1, 1]]) * Q(1, 2),
+        2: _M([[12, 0, 0], [7, 3, -1], [1, 1, 1]]) * Q(2, 24),
+        3: _M([[120, 0, 0, 0], [74, 20, -4, 2], [15, 9, 3, -3], [1, 1, 1, 1]]) * Q(6, 720)}),
+    "S": (lambda n: exp_matrix("S", n), {
+        1: _M([[1, 0], [1, 2]]),
+        2: _M([[1, 0, 0], [4, 3, 0], [1, 3, 6]]) * 2,
+        3: _M([[1, 0, 0, 0], [9, 4, 0, 0], [9, 12, 10, 0], [1, 4, 10, 20]]) * 6,
+        4: _M([[1, 0, 0, 0, 0], [16, 5, 0, 0, 0], [36, 30, 15, 0, 0],
+               [16, 30, 40, 35, 0], [1, 5, 15, 35, 70]]) * 24}),
+    "Sinv": (lambda n: exp_matrix("Sinv", n), {
+        1: _M([[2, 0], [-1, 1]]) * Q(1, 2),
+        2: _M([[6, 0, 0], [-8, 2, 0], [3, -1, 1]]) * Q(2, 24),
+        3: _M([[20, 0, 0, 0], [-45, 5, 0, 0], [36, -6, 2, 0], [-10, 2, -1, 1]]) * Q(6, 720),
+        4: _M([[70, 0, 0, 0, 0], [-224, 14, 0, 0, 0], [280, -28, "14/3", 0, 0],
+               [-160, 20, "-16/3", 2, 0], [35, -5, "5/3", -1, 1]]) * Q(24, 40320)}),
+    "G": (lambda n: beta_matrix("G", n, 1), _FIX_G),
+    "Ginv": (lambda n: beta_matrix("G", n, -1), _FIX_GINV),
+    "H": (lambda n: beta_matrix("H", n, 1), {
+        1: _M([[3, 1], [-1, 1]]) * Q(1, 2),
+        2: _M([[15, 5, 1], [-12, 2, 4], [3, -1, 1]]) * Q(1, 6),
+        3: _M([[84, 28, 7, 1], [-108, -4, 15, 9], [54, -6, -1, 9],
+               [-10, 2, -1, 1]]) * Q(1, 20)}),
+    "A": (lambda n: beta_matrix("A", n, 1), {
+        2: _M([[2, 1], [-1, 0]]),
+        3: _M([[5, "5/2", 1], [-6, -2, 0], [2, "1/2", 0]]),
+        4: _M([[14, 7, 3, 1], [-28, "-35/3", "-10/3", 0], [20, "22/3", "5/3", 0],
+               [-5, "-5/3", "-1/3", 0]])}),
+    "T": (lambda n: beta_matrix("T", n, 1), {
+        2: _M([[3, 1], [-1, 1]]) * Q(1, 2),
+        3: _M([[12, 4, 1], [-9, 2, 3], [2, -1, 1]]) * Q(1, 5),
+        4: _M([[55, "55/3", 5, 1], [-66, 0, 10, 6], [30, -6, 0, 6],
+               [-5, "5/3", -1, 1]]) * Q(1, 14)}),
+}
+
+
+def _fixed(*labels):
+    """Each printed matrix of the rows ``labels`` of _FIXED against its
+    constructor, labelled ``label_n``."""
+    for label in labels:
+        build, fixture = _FIXED[label]
+        for n, want in fixture.items():
+            yield "%s_%d" % (label, n), build(n), want
+
 
 def _binom_band_T(phi, size: int) -> FinMatrix:
     """Transpose of multiplication by (1+x)^phi: entry (i, j) = binom(phi, j-i)."""
@@ -229,6 +251,11 @@ def _binom_band_T(phi, size: int) -> FinMatrix:
 
 def _catalan(order: int) -> Series:
     return gen_binomial_series(2, 1, order)
+
+
+def _rising(n: int) -> Fraction:
+    """(2n)!/n! = (n+1)(n+2)...(2n), the scale of the exponential numerators."""
+    return Q(factorial(2 * n), factorial(n))
 
 
 # -- shared check shapes ------------------------------------------------------
@@ -304,76 +331,97 @@ def _distinct_points(comparisons, used: list):
     used.append(len(points))
 
 
-def _reflection(kind, first_n, reversal):
-    """The check K(-beta) = J K(beta) J for K = beta_matrix(kind), with
-    J = reversal(n), for n from first_n to max_n."""
+def _per_n(first_n, pair, label="n=%d"):
+    """The check pair(n) = (got, want) for n from first_n to max_n."""
     def check(ctx):
         for n in range(first_n, ctx.max_n + 1):
-            j = reversal(n)
-            for beta in ctx.betas:
-                yield ("n=%d beta=%s" % (n, beta), beta_matrix(kind, n, -beta),
-                       j * beta_matrix(kind, n, beta) * j)
+            yield (label % n,) + pair(n)
     return check
+
+
+def _per_n_beta(first_n, at_n):
+    """The check at_n(n)(beta) = (got, want) for n from first_n to max_n
+    and every beta; at_n(n) does the work that depends on n alone."""
+    def check(ctx):
+        for n in range(first_n, ctx.max_n + 1):
+            pair = at_n(n)
+            for beta in ctx.betas:
+                yield ("n=%d beta=%s" % (n, beta),) + pair(beta)
+    return check
+
+
+def _reflection(kind, first_n, reversal):
+    """K(-beta) = J K(beta) J for K = beta_matrix(kind), J = reversal(n)."""
+    def at_n(n):
+        j = reversal(n)
+        return lambda beta: (beta_matrix(kind, n, -beta), j * beta_matrix(kind, n, beta) * j)
+    return _per_n_beta(first_n, at_n)
 
 
 def _band_conjugation(kind, route):
-    """The check K = L B R for K = beta_matrix(kind, n, beta), B the
-    transpose of multiplication by (1+x)^(n*beta) and (L, R) = route(n),
-    for n from 1 to max_n and every beta."""
-    def check(ctx):
-        for n in range(1, ctx.max_n + 1):
-            left, right = route(n)
-            for beta in ctx.betas:
-                yield ("n=%d beta=%s" % (n, beta), beta_matrix(kind, n, beta),
-                       left * _binom_band_T(n * beta, right.n_rows) * right)
-    return check
+    """K = L B R for K = beta_matrix(kind, n, beta), B the transpose of
+    multiplication by (1+x)^(n*beta) and (L, R) = route(n), n >= 1."""
+    def at_n(n):
+        left, right = route(n)
+        return lambda beta: (beta_matrix(kind, n, beta),
+                             left * _binom_band_T(n * beta, right.n_rows) * right)
+    return _per_n_beta(1, at_n)
 
 
 def _alternation(first_n, route):
-    """The check L E(shift) Alt R = (-1)^(size-1) J, with (L, shift, R, J)
-    = route(n) for n from first_n to max_n, E(phi) the argument shift
-    c(x) -> c(x + phi), Alt the sign change c(x) -> c(-x) and size the
-    size of J."""
+    """L E(shift) Alt R = (-1)^(size-1) J, with (L, shift, R, J) = route(n),
+    E(phi) the argument shift c(x) -> c(x + phi), Alt the sign change
+    c(x) -> c(-x) and size the size of J."""
+    def pair(n):
+        left, shift, right, rev = route(n)
+        size = rev.n_rows
+        return (left * shift_matrix(shift, size) * alt_matrix(size) * right,
+                rev * Q(-1) ** (size - 1))
+    return _per_n(first_n, pair)
+
+
+def _end_columns(kind, scale, closed, dual):
+    """The check that scale(n) times the last column of
+    K = beta_matrix(kind, n, beta) is closed(n, beta), and scale(n) times
+    its first column is closed(n, dual + beta), for n >= 1 and every beta."""
     def check(ctx):
-        for n in range(first_n, ctx.max_n + 1):
-            left, shift, right, rev = route(n)
-            size = rev.n_rows
-            yield ("n=%d" % n,
-                   left * shift_matrix(shift, size) * alt_matrix(size) * right,
-                   rev * Q(-1) ** (size - 1))
+        for n in range(1, ctx.max_n + 1):
+            for beta in ctx.betas:
+                k = beta_matrix(kind, n, beta)
+                for end, j, b in (("last", k.n_cols - 1, beta), ("first", 0, dual + beta)):
+                    yield ("%s column n=%d beta=%s" % (end, n, beta),
+                           scale(n) * k.column_poly(j), closed(n, b))
     return check
 
 
-def _closed_family(ctx, numerator, closed):
-    """numerator(a, n) of the binomial family a = beta_family(beta, 1, n)
-    against its closed form closed(n, beta)."""
-    for n in range(1, ctx.max_n + 1):
-        for beta in ctx.betas:
-            yield ("n=%d beta=%s" % (n, beta),
-                   numerator(beta_family(beta, 1, n), n), closed(n, beta))
+def _reductions(kind, n, beta, k, where=""):
+    """k = beta_matrix(kind, n, beta) carried down m orders against
+    beta_matrix(kind, n - m, n*beta/(n - m)) for m from 1 to n-1, each
+    label ending in ``where``."""
+    for m in range(1, n):
+        yield ("reduction n=%d m=%d%s" % (n, m, where), _reduce(k, m),
+               beta_matrix(kind, n - m, n * beta / (n - m)))
 
 
-def _end_columns(ctx, kind, scale, closed, dual):
-    """scale(n) times the last column of K = beta_matrix(kind, n, beta) is
-    closed(n, beta)/x, and scale(n) times its first column is
-    closed(n, dual + beta)/x."""
-    for n in range(1, ctx.max_n + 1):
-        for beta in ctx.betas:
-            k = beta_matrix(kind, n, beta)
-            for end, j, b in (("last", n - 1, beta), ("first", 0, dual + beta)):
-                yield ("%s column n=%d beta=%s" % (end, n, beta),
-                       scale(n) * k.column_poly(j),
-                       closed(n, b).div_x())
+def _duality(closed, dual, special):
+    """The check closed(n, dual - beta) = x reverse(closed(n, beta)) for
+    n >= 1 and every beta, after closed(m, beta) = want for each
+    (beta, m, want) in special(n)."""
+    def check(ctx):
+        for n in range(1, ctx.max_n + 1):
+            for beta, m, want in special(n):
+                yield "beta=%s n=%d" % (beta, m), closed(m, beta), want
+            for beta in ctx.betas:
+                want = (_X * closed(n, beta).reverse()).with_bound(n)
+                yield "duality beta=%s n=%d" % (beta, n), closed(n, dual - beta), want
+    return check
 
 
 # -- fixtures -----------------------------------------------------------------
 
 
 def _chk_fixtures(ctx):
-    for n, want in _FIX_U.items():
-        yield "U_%d" % n, core_matrix("U", n), want
-    for n, want in _FIX_UINV.items():
-        yield "Uinv_%d" % n, core_matrix("Uinv", n), want
+    yield from _fixed("U", "Uinv")
     yield "J_3", core_matrix("J", 3), _FIX_J3
     yield "V_3", core_matrix("V", 3), _FIX_V3
     yield "Vinv_3", core_matrix("Vinv", 3), _FIX_V3INV
@@ -386,20 +434,10 @@ def _chk_fixtures(ctx):
     yield "V_3*U_3", core_matrix("V", 3) * core_matrix("U", 3), stirling_right
     for n, want in enumerate(_FIX_EULER):
         yield "A_%d" % n, exact.eulerian_poly(n), Poly(want)
-    for n, want in _FIX_F.items():
-        yield "F_%d" % n, exp_matrix("F", n), want
-    for n, want in _FIX_FINV.items():
-        yield "Finv_%d" % n, exp_matrix("Finv", n), want
-    for n, want in _FIX_S.items():
-        yield "S_%d" % n, exp_matrix("S", n), want
-    for n, want in _FIX_SINV.items():
-        yield "Sinv_%d" % n, exp_matrix("Sinv", n), want
+    yield from _fixed("F", "Finv", "S", "Sinv")
     s3_fact = _FIX_V3INV * FinMatrix.diag([1, 4, 10, 20]) * _FIX_V3 * 6
     yield "S_3 factorization", exp_matrix("S", 3), s3_fact
-    for n, want in _FIX_G.items():
-        yield "G_%d" % n, beta_matrix("G", n, 1), want
-    for n, want in _FIX_GINV.items():
-        yield "Ginv_%d" % n, beta_matrix("G", n, -1), want
+    yield from _fixed("G", "Ginv")
     g3_fact = _FIX_V3INV * _binom_band_T(3, 4) * _FIX_V3
     yield "G_3 factorization", beta_matrix("G", 3, 1), g3_fact
     x3 = beta_matrix("X", 3)
@@ -414,8 +452,7 @@ def _chk_fixtures(ctx):
         yield "G_%d^(1/%d)" % (n, n), beta_matrix("G", n, Q(1, n)), want
         yield ("I + X_%d" % n, FinMatrix.identity(n + 1) + beta_matrix("X", n),
                want)
-    for n, want in _FIX_H.items():
-        yield "H_%d" % n, beta_matrix("H", n, 1), want
+    yield from _fixed("H")
     h3_fact = (_FIX_V3INV * FinMatrix.diag([1, 4, 10, 20]) * _binom_band_T(3, 4)
                * FinMatrix.diag([1, Q(1, 4), Q(1, 10), Q(1, 20)]) * _FIX_V3)
     yield "H_3 factorization", beta_matrix("H", 3, 1), h3_fact
@@ -442,14 +479,12 @@ def _chk_fixtures(ctx):
     vt3 = tilde_matrix("Vt", 3)
     mid = _M([[2, 1, 0], [0, 4, 4], [0, 0, 8]])
     yield "W_(3,2) band factorization", vt3.inverse() * mid * vt3, w32
-    for n, want in _FIX_A.items():
-        yield "A_%d" % n, beta_matrix("A", n, 1), want
+    yield from _fixed("A")
     vt4 = tilde_matrix("Vt", 4)
     dt4 = tilde_matrix("Dt", 4)
     a4_fact = (vt4.inverse() * dt4 * _binom_band_T(4, 4) * dt4.inverse() * vt4)
     yield "A_4 factorization", beta_matrix("A", 4, 1), a4_fact
-    for n, want in _FIX_T.items():
-        yield "T_%d" % n, beta_matrix("T", n, 1), want
+    yield from _fixed("T")
     ctd = FinMatrix.diag([comb(5 + p, p) for p in range(4)])
     t4_fact = vt4.inverse() * ctd * _binom_band_T(4, 4) * ctd.inverse() * vt4
     yield "T_4 factorization", beta_matrix("T", 4, 1), t4_fact
@@ -519,23 +554,6 @@ def _chk_thm24(ctx):
             yield "lift n=%d m=%d" % (n, m), lhs2, rhs2
 
 
-def _chk_thm25(ctx):
-    x = Poly([0, 1])
-    for n in range(1, ctx.max_n + 1):
-        yield "beta=1 n=%d" % n, beta_alpha_closed(n, 1), x
-        yield "beta=0 n=%d" % n, beta_alpha_closed(n, 0), Poly.monomial(n)
-        yield ("beta=1/2 n=%d" % (2 * n), beta_alpha_closed(2 * n, Q(1, 2)),
-               Q(1, 2) * Poly([1, 1]) * Poly.monomial(n))
-        for beta in ctx.betas:
-            dual = (x * beta_alpha_closed(n, beta).reverse()).with_bound(n)
-            yield ("duality beta=%s n=%d" % (beta, n),
-                   beta_alpha_closed(n, 1 - beta), dual)
-
-
-def _chk_eq2(ctx):
-    return _closed_family(ctx, alpha_poly, beta_alpha_closed)
-
-
 _chk_thm31 = _alternation(1, lambda n: (exp_matrix("F", n), n + 1,
                                         exp_matrix("Finv", n), core_matrix("J", n)))
 
@@ -553,15 +571,14 @@ def _chk_thm32(ctx):
         for n in range(top + 1):
             h = narayana_numerator(b, a, n).poly
             yield ("eval trial=%d n=%d" % (trial, n), h.eval(1),
-                   b.coeffs[0] * a.coeffs[1] ** n * Q(factorial(2 * n), factorial(n)))
+                   b.coeffs[0] * a.coeffs[1] ** n * _rising(n))
             yield ("trial=%d n=%d" % (trial, n),
                    narayana_numerator(image_b, abar, n).poly, Q(-1) ** n * h.reverse())
 
 
 def _chk_thm41(ctx):
-    for n in range(1, ctx.max_n + 1):
-        yield ("n=%d" % n, exp_matrix("S", n),
-               core_matrix("Vinv", n) * exp_matrix("C", n) * core_matrix("V", n))
+    yield from _per_n(1, lambda n: (exp_matrix("S", n), core_matrix("Vinv", n)
+                                    * exp_matrix("C", n) * core_matrix("V", n)))(ctx)
     rng = ctx.rng("thm4.1")
     top = min(6, ctx.max_n)
     order = 2 * (2 * top + 1)
@@ -572,18 +589,6 @@ def _chk_thm41(ctx):
             g = euler_numerator(b, a, n).poly
             h = narayana_numerator(b, a, n).poly
             yield "map trial=%d n=%d" % (trial, n), exp_matrix("S", n).apply(g), h
-
-
-def _chk_thm42(ctx):
-    for n in range(1, ctx.max_n + 1):
-        yield ("inverse pair n=%d" % n, exp_matrix("S", n) * exp_matrix("Sinv", n),
-               FinMatrix.identity(n + 1))
-
-
-def _chk_thm43(ctx):
-    for n in range(1, ctx.max_n + 1):
-        yield ("inverse n=%d" % n, exp_matrix("Sinv", n),
-               exp_matrix("S", n).inverse())
 
 
 def _chk_thm44(ctx):
@@ -600,49 +605,18 @@ def _chk_thm44(ctx):
            any(h.reverse() != h for h in numerators), True)
 
 
-def _chk_thm45(ctx):
-    for n in range(1, ctx.max_n + 1):
-        scale = Q(factorial(2 * n), factorial(n))
-        yield "beta=0 n=%d" % n, beta_phi_closed(n, 0), scale * Poly.monomial(n)
-        yield "beta=2 n=%d" % n, beta_phi_closed(n, 2), scale * Poly([0, 1])
-        for beta in ctx.betas:
-            dual = (Poly([0, 1]) * beta_phi_closed(n, beta).reverse()).with_bound(n)
-            yield ("duality beta=%s n=%d" % (beta, n),
-                   beta_phi_closed(n, 2 - beta), dual)
-
-
-def _chk_eq3(ctx):
-    return _closed_family(ctx, phi_poly, beta_phi_closed)
-
-
 def _chk_thm63(ctx):
     for n in range(1, ctx.max_n + 1):
         x = beta_matrix("X", n)
         powers = [FinMatrix.identity(n + 1)] + _powers(x, x, n)
         for beta in ctx.betas:
             g = beta_matrix("G", n, beta)
-            acc = FinMatrix.zeros(n + 1, n + 1)
-            for m in range(n + 1):
-                acc = acc + exact.binom(n * beta, m) * powers[m]
+            acc = sum((exact.binom(n * beta, m) * powers[m] for m in range(n + 1)),
+                      FinMatrix.zeros(n + 1, n + 1))
             yield "nilpotent sum n=%d beta=%s" % (n, beta), acc, g
-            for m in range(1, n):
-                yield ("reduction n=%d m=%d beta=%s" % (n, m, beta), _reduce(g, m),
-                       beta_matrix("G", n - m, n * beta / (n - m)))
+            yield from _reductions("G", n, beta, g, " beta=%s" % beta)
         yield ("unit root n=%d" % n, beta_matrix("G", n, Q(1, n)),
                FinMatrix.identity(n + 1) + x)
-
-
-def _chk_thm72(ctx):
-    for n in range(1, ctx.max_n + 1):
-        for beta in ctx.betas:
-            h = beta_matrix("H", n, beta)
-            nb = n * beta
-            top = Poly([exact.binom(2 * n - nb, m) * exact.binom(nb, n - m)
-                        for m in range(n + 1)], n) * Q(1, comb(2 * n, n))
-            yield "last column n=%d beta=%s" % (n, beta), h.column_poly(n), top
-            first = Poly([exact.binom(-nb, m) * exact.binom(nb + 2 * n, n - m)
-                          for m in range(n + 1)], n) * Q(1, comb(2 * n, n))
-            yield "first column n=%d beta=%s" % (n, beta), h.column_poly(0), first
 
 
 _chk_thm81 = _alternation(2, lambda n: (tilde_matrix("Ut", n), 0,
@@ -676,17 +650,10 @@ def _chk_thm83(ctx):
 
 
 def _chk_thm93(ctx):
-    yield from _end_columns(ctx, "A", lambda n: 1, beta_alpha_closed, 1)
+    yield from _end_columns("A", lambda n: 1,
+                            lambda n, b: beta_alpha_closed(n, b).div_x(), 1)(ctx)
     for n in range(1, ctx.max_n + 1):
-        a = beta_matrix("A", n, Q(1))
-        for m in range(1, n):
-            yield ("reduction n=%d m=%d" % (n, m), _reduce(a, m),
-                   beta_matrix("A", n - m, Q(n, n - m)))
-
-
-def _chk_thm95(ctx):
-    return _end_columns(ctx, "T", lambda n: Q(factorial(2 * n), factorial(n)),
-                        beta_phi_closed, 2)
+        yield from _reductions("A", n, Q(1), beta_matrix("A", n, Q(1)))
 
 
 # -- worked examples ----------------------------------------------------------
@@ -698,9 +665,9 @@ def _chk_ex21(ctx):
     half_plus_x = Poly([Q(1, 2), 1])
     for n in range(1, top + 1):
         v = RiordanArray(Series.one(n), a.truncate(n) - 1).row_poly(n)
-        yield ("v_%d" % n, v, Q(2) ** n * Poly([0, 1]) * half_plus_x ** (n - 1))
+        yield ("v_%d" % n, v, Q(2) ** n * _X * half_plus_x ** (n - 1))
         yield ("alpha_%d" % n, alpha_poly(a, n),
-               2 * Poly([0, 1]) * Poly([1, 1]) ** (n - 1))
+               2 * _X * Poly([1, 1]) ** (n - 1))
         u = RiordanArray(Series.one(top), a.log(), EXPONENTIAL).sheffer_row(n)
         want1 = sum((2 * exact.binom(n - 1, p_ - 1) * exact.falling_poly(p_)
                      * exact.rising_from(1, n - p_) for p_ in range(n + 1)),
@@ -764,9 +731,9 @@ def _chk_ex31(ctx):
                exact.rising_from(n + 1, n - 1).with_bound(n - 1))
         lifted = exact.rising_from(n + 1, n).with_bound(n)
         yield ("constant image n=%d" % n, exp_matrix("F", n).apply(lifted),
-               Poly([Q(factorial(2 * n), factorial(n))], 0).with_bound(n))
+               Poly([_rising(n)], 0).with_bound(n))
         yield ("monomial numerator n=%d" % n, phi_poly(cat, n),
-               Q(factorial(2 * n), factorial(n)) * Poly([0, 1]))
+               _rising(n) * _X)
     rng = ctx.rng("ex3.1")
     for trial in range(20):
         a = _rand_unit(rng, 10)
@@ -843,7 +810,7 @@ def _chk_ex43(ctx):
     deriv = cat.mul_x().derivative()
     pref = 1 + xdlog(cat)
     for n in range(1, top + 1):
-        scale = Q(factorial(2 * n), factorial(n))
+        scale = _rising(n)
         yield ("constant numerator n=%d" % n,
                narayana_numerator(deriv, cat, n).poly,
                Poly([scale], 0).with_bound(n))
@@ -897,7 +864,7 @@ def _chk_ex71(ctx):
         fam_beta = beta_family(beta, beta, top)
         pref = (1 + xdlog(fam_beta)) if beta != 0 else Series.one(top)
         for n in range(1, top + 1):
-            scale = Q(factorial(2 * n), factorial(n))
+            scale = _rising(n)
             want = narayana_numerator(pref, fam, n).poly
             yield ("top column beta=%s n=%d" % (beta, n),
                    scale * beta_matrix("H", n, beta).column_poly(n), want)
@@ -1038,20 +1005,26 @@ _CHECKS = [
     ("thm2.2", _chk_thm22),
     ("thm2.3", _chk_thm23),
     ("thm2.4", _chk_thm24),
-    ("thm2.5", _chk_thm25),
+    ("thm2.5", _duality(lambda n, b: beta_alpha_closed(n, b), 1, lambda n: (
+        (1, n, _X), (0, n, Poly.monomial(n)),
+        (Q(1, 2), 2 * n, Q(1, 2) * Poly([1, 1]) * Poly.monomial(n))))),
     ("thm3.1", _chk_thm31),
     ("thm3.2", _chk_thm32),
     ("thm4.1", _chk_thm41),
-    ("thm4.2", _chk_thm42),
-    ("thm4.3", _chk_thm43),
+    ("thm4.2", _per_n(1, lambda n: (exp_matrix("S", n) * exp_matrix("Sinv", n),
+                                    FinMatrix.identity(n + 1)), "inverse pair n=%d")),
+    ("thm4.3", _per_n(1, lambda n: (exp_matrix("Sinv", n), exp_matrix("S", n).inverse()),
+                      "inverse n=%d")),
     ("thm4.4", _chk_thm44),
-    ("thm4.5", _chk_thm45),
+    ("thm4.5", _duality(lambda n, b: beta_phi_closed(n, b), 2, lambda n: (
+        (0, n, _rising(n) * Poly.monomial(n)), (2, n, _rising(n) * _X)))),
     ("thm6.1", _reflection("G", 1, lambda n: core_matrix("J", n))),
     ("thm6.2", _band_conjugation("G", lambda n: (core_matrix("Vinv", n),
                                                  core_matrix("V", n)))),
     ("thm6.3", _chk_thm63),
     ("thm7.1", _reflection("H", 1, lambda n: core_matrix("J", n))),
-    ("thm7.2", _chk_thm72),
+    ("thm7.2", _end_columns("H", lambda n: 1, lambda n, b: (
+        t_poly(n, 2 * n - n * b, n * b) * Q(1, comb(2 * n, n))), 2)),
     ("thm8.1", _chk_thm81),
     ("thm8.2", _chk_thm82),
     ("thm8.3", _chk_thm83),
@@ -1061,7 +1034,7 @@ _CHECKS = [
         tilde_matrix("Dt", n).inverse() * tilde_matrix("Vt", n)))),
     ("thm9.3", _chk_thm93),
     ("thm9.4", _reflection("T", 2, lambda n: tilde_matrix("Jt", n))),
-    ("thm9.5", _chk_thm95),
+    ("thm9.5", _end_columns("T", _rising, lambda n, b: beta_phi_closed(n, b).div_x(), 2)),
     ("ex2.1", _chk_ex21),
     ("ex2.2", _chk_ex22),
     ("ex2.3", _chk_ex23),
@@ -1074,8 +1047,10 @@ _CHECKS = [
     ("ex7.1", _chk_ex71),
     ("ex8.1", _chk_ex81),
     ("eq1", _chk_eq1),
-    ("eq2", _chk_eq2),
-    ("eq3", _chk_eq3),
+    ("eq2", _per_n_beta(1, lambda n: lambda beta: (
+        alpha_poly(beta_family(beta, 1, n), n), beta_alpha_closed(n, beta)))),
+    ("eq3", _per_n_beta(1, lambda n: lambda beta: (
+        phi_poly(beta_family(beta, 1, n), n), beta_phi_closed(n, beta)))),
     ("section5", _chk_section5),
     ("w-amazing", _chk_w_amazing),
     ("col-sums", _chk_col_sums),

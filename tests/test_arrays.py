@@ -9,6 +9,7 @@ from riordan import exact
 from riordan.arrays import EXPONENTIAL, SQUARE, RiordanArray, lagrange_pair, table_row
 from riordan.fps import DomainError, Poly, RangeError, Series
 from riordan.genlagrange import gen_binomial_series
+from riordan.matrix import FinMatrix
 
 
 def pascal(order):
@@ -192,6 +193,23 @@ def test_bad_slice_index_is_typed(name):
     else:
         with pytest.raises(RangeError, match="7 beyond order 6"):
             call(a, 7)
+
+
+BAD_CONSTRUCTIONS = {  # name: (call, message); DomainError is also a ValueError
+    "empty matrix": (lambda: FinMatrix([]), "matrix needs at least one entry"),
+    "ragged rows": (lambda: FinMatrix([[1], [1, 2]]), "ragged rows"),
+    "empty diagonal": (lambda: FinMatrix.diag([]), "matrix needs at least one entry"),
+    "unknown flavor": (lambda: RiordanArray(Series.one(2), Series.x(2), "bogus"),
+                       "unknown flavor 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_CONSTRUCTIONS)
+def test_bad_construction_is_a_domain_error(name):
+    call, message = BAD_CONSTRUCTIONS[name]
+    with pytest.raises(DomainError, match=message) as err:
+        call()
+    assert isinstance(err.value, ValueError)
 
 
 def test_lagrange_pair_basics():

@@ -168,6 +168,24 @@ def test_reflection_check_names_the_wrong_entry(monkeypatch):
         "n=1 beta=-2: entry (1, 0): got %s, want %s;" % (v + 1, v))
 
 
+def test_end_column_check_names_the_wrong_column(monkeypatch):
+    def wrong(kind, n, beta=None):  # H_1 at beta = 2 with entry (1, 1) off by one
+        m = beta_matrix(kind, n, beta)
+        if (kind, n, beta) != ("H", 1, 2):
+            return m
+        rows = [list(row) for row in m.data]
+        rows[1][1] += 1
+        return FinMatrix(rows)
+
+    monkeypatch.setattr(verify, "beta_matrix", wrong)
+    report = verify.run_suite("thm7.2", max_n=2)
+    assert not report.ok
+    v = beta_matrix("H", 1, 2).entry(1, 1)
+    # H_1's last column is its column 1; its first column still holds
+    assert report.results[0].detail == (
+        "last column n=1 beta=2: coefficient 1: got %s, want %s" % (v + 1, v))
+
+
 def test_beta_u_transform_matches_definition():
     # rows of (1, log lag) equal the transformed rows of (1, log a)
     a = Series.from_poly([1, 1], 14)

@@ -89,6 +89,8 @@ ROWS = [
                   "thm8.1", "thm8.2", "thm8.3", "thm9.1", "thm9.2", "thm9.3", "thm9.4",
                   "thm9.5", "ex3.1", "ex3.2", "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1",
                   "eq1", "eq3", "w-amazing", "col-sums"), id="window"),
+    pytest.param("verify._reduce", _output(lambda m: 2 * m),
+                 ("fixtures", "thm6.3", "thm9.3", "w-amazing"), id="reduce"),
     pytest.param("verify._t_points", _output(lambda points: points[:-1]),
                  ("eq1", "ex2.3", "ex3.2"), id="t_points-one-short"),
     # eq1 also fails, after 0.8 s
