@@ -6,7 +6,7 @@ Eulerian polynomials.
 
 A_n comes from its definition, with no table: it is the window
 (1-x)^(n+1) sum(m^n x^m) through x^n, which :func:`_window` also
-builds for the connection matrices U and F.
+builds for U, F and both numerator extractions.
 
 For a rational phi = p/q, binom(phi, k) takes the integer product of the
 p - iq over q^k k!, reduced once rather than k times as k Fraction

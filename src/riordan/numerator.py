@@ -2,14 +2,18 @@
 
 Row n of a square array (b, a) has generating function g_n(x)/(1-x)^(n+1)
 for a polynomial g_n of degree <= n; the exponential analog has
-denominator (1-x)^(2n+1) and numerator h_n.  Both are built from the
-entries [x^n] b*a^m of row n, so they read b and a only through x^n: each
-needs series of order at least n, and no coefficient beyond x^n changes
-its result.  Both verify a window of higher coefficients of the row is
-exactly zero before returning.
+denominator (1-x)^(2n+1) and numerator h_n.  With p_n(m) = [x^n] b*a^m,
+g_n = (1-x)^(n+1) sum p_n(m) x^m and h_n = (1-x)^(2n+1) sum
+(m+1)...(m+n) p_n(m) x^m: both are windows built by ``exact._window``,
+with p_n(m) read off row n of (b, a-1) and off the Sheffer row n! p_n(m)
+of (b, log a), and no connection matrix.  They read b and a only through
+x^n, so each needs series of order at least n.  Each then multiplies the
+square row p_n(0..2n+1) by (1-x)^power itself, apart from the window, and
+demands the numerator with zeros above it, so a wrong window cannot give
+extraction and residual the same wrong numerator and pass.
 
-Every self-check here (that window, the degree of h_n, the two routes to
-S, Sinv and W, the strips behind the tilde matrices) goes through
+Every self-check here (that residual, the degree of h_n, the two routes
+to S, Sinv and W, the strips behind the tilde matrices) goes through
 ``fps.agree``.  On a mismatch its ConsistencyError names the route, n
 (and m for W) and the first coefficient, entry or index that differs,
 with both values, e.g. ``"Sinv: product against closed form (n=3):
@@ -23,28 +27,19 @@ matrix has one builder.  A tilde companion other than Jt and Dt is the
 strip of its order-n parent (Ut of U, Utinv of Uinv, Vt of V, Ft of F,
 Ftinv of Finv, St of S, Ct of C): the parent's first row must vanish
 past its first entry, and its first row and column are removed.  Jt is
-J(n-1) and Dt is diag(1..n).  Euler extraction applies Vinv to a row,
-and the argument shift has the one builder ``shift_matrix``.
-
-U, F and the Eulerian polynomials are numerator windows built by
-``exact._window``, and Uinv and Finv share one falling-rising builder.
-The extractions' residual check multiplies by (1-x)^power itself, apart
-from the window: Narayana extraction applies U(2n), so a wrong window
-would give extraction and residual the same wrong h_n and pass.
+J(n-1) and Dt is diag(1..n).  U and F are windows too, and Uinv and
+Finv share one falling-rising builder.
 
 ``core_matrix``, ``exp_matrix``, ``tilde_matrix`` and ``W_matrix``
 depend only on their arguments, so they are memoized with
-``functools.lru_cache``: the matrix built for a given key serves every
-later request for it, and ``cache_clear()`` empties the memo.  Sharing
-one object is safe because ``FinMatrix`` is immutable.  A self-check
-inside a memoized constructor (the two routes to S, Sinv and W, the
-strip checks of the tilde matrices) therefore runs once per key per
-process, and a hit returns a matrix that has passed it.  A call that
-raises stores nothing, so it raises again next time.  The keys are
-typed: an n of 2.0 or Fraction(2) does not hit the entry built for 2,
-and raises ``DomainError`` as any non-int order does.  An unhashable
-argument fails in the memo itself with ``TypeError``.  Only the
-numerator extractions are not memoized; they verify on every call.
+``functools.lru_cache`` (``cache_clear()`` empties a memo); sharing one
+object is safe because ``FinMatrix`` is immutable.  A self-check inside
+a memoized constructor therefore runs once per key per process, and a
+hit returns a matrix that has passed it; a call that raises stores
+nothing.  The keys are typed: an n of 2.0 or Fraction(2) does not hit
+the entry built for 2 and raises ``DomainError`` as any non-int order
+does, and an unhashable argument fails in the memo with ``TypeError``.
+The extractions are not memoized and read no memo.
 """
 
 from __future__ import annotations
@@ -52,10 +47,12 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 from . import exact
 from .arrays import EXPONENTIAL, RiordanArray
-from .fps import DomainError, Poly, Q, RangeError, Series, _count, _powers, _q, agree
+from .fps import (DomainError, Poly, Q, RangeError, Series, _count, _powers, _q,
+                  _ratio, _to_ints, agree)
 from .matrix import FinMatrix
 
 _ONE_MINUS_X = Poly([1, -1])
@@ -89,37 +86,36 @@ def _square_row(b: Series, a: Series, n: int) -> list:
     return [p.coeffs[n] for p in _powers(b.truncate(n), a.truncate(n), 2 * n + 2)]
 
 
-def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
-    """Numerator polynomial of row n of the square array (b, a).
+def _dots(coeffs, rows) -> list:
+    """sum(coeffs[p] * row[p]) for each integer row, as integer dot
+    products over the one denominator of coeffs."""
+    ints, den = _to_ints(coeffs)
+    return [_ratio(sum(map(mul, ints, row)), den) for row in rows]
 
-    Built from row n of (b, a-1); an independent pass multiplies row n
-    of the square array (b, a), read as a generating function, by
-    (1-x)^(n+1) and demands that coefficients n+1..2n+1 vanish.  b and a
-    need order at least n; their coefficients beyond x^n are not read.
-    """
+
+def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
+    """Numerator g_n of row n of the square array (b, a): the window of
+    p_n(m) = sum r_p C(m, p) for m = 0..n, r row n of (b, a-1)."""
     _check_square_pair(b, a, n)
     row = RiordanArray(b.truncate(n), a.truncate(n) - 1).row(n)
-    g = core_matrix("Vinv", n).apply(Poly(row, n))
+    values = _dots(row, ([comb(m, p) for p in range(m + 1)] for m in range(n + 1)))
+    g = exact._window(values, n + 1)
     _check_residual(_square_row(b, a, n), n + 1, g, n)
     return NumeratorResult(g, n + 1)
 
 
 def narayana_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
-    """Numerator polynomial of diagonal n of the exponential array (b, x*a).
-
-    Computed by lifting row n of the Sheffer array (b, log a) through the
-    order-2n Euler connection matrix; verified against (1-x)^(2n+1) times
-    row n of the square array (b, a) weighted by (m+n)!/m!.  b and a need
-    order at least n; their coefficients beyond x^n are not read.
-    """
+    """Numerator h_n of diagonal n of the exponential array (b, x*a): the
+    window of C(m+n, n) s(m) for m = 0..2n, s row n of the Sheffer array
+    (b, log a), which must have degree <= n."""
     _check_square_pair(b, a, n)
     s = RiordanArray(b.truncate(n), a.truncate(n).log(), EXPONENTIAL).sheffer_row(n)
-    lifted = (exact.rising_from(1, n) * s).with_bound(2 * n)
-    hu = core_matrix("U", 2 * n).apply(lifted)
-    low = Poly(hu.coeffs[: n + 1], n)
+    values = _dots(s.coeffs, ([comb(m + n, n) * m ** p for p in range(n + 1)]
+                              for m in range(2 * n + 1)))
+    lifted = exact._window(values, 2 * n + 1)
+    h = Poly(lifted.coeffs[: n + 1], n)
     agree("Narayana numerator: lifted Sheffer row against its degree <= n part",
-          hu, low, n=n)
-    h = (Q(factorial(2 * n), factorial(n)) * low).with_bound(n)
+          lifted, h, n=n)
     t = [Q(factorial(m + n), factorial(m)) * w for m, w in enumerate(_square_row(b, a, n))]
     _check_residual(t, 2 * n + 1, h, n)
     return NumeratorResult(h, n + 1)

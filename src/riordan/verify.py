@@ -869,16 +869,15 @@ def _chk_ex71(ctx):
             yield ("top column beta=%s n=%d" % (beta, n),
                    scale * beta_matrix("H", n, beta).column_poly(n), want)
     for n in range(1, min(6, ctx.max_n) + 1):
-        for beta in ctx.betas:
-            h = beta_matrix("H", n, beta)
+        hs = [(beta, beta_matrix("H", n, beta)) for beta in ctx.betas]
+        for beta, h in hs:
             nb = n * beta
             arg = (Poly([1, 1]) * Poly.monomial(n - 1)).with_bound(n)
             want = Poly([exact.binom(2 * n - 1 - nb, m) * exact.binom(nb + 1, n - m)
                          for m in range(n + 1)], n)
             yield ("palindromic pair n=%d beta=%s" % (n, beta),
                    comb(2 * n - 1, n - 1) * h.apply(arg), want)
-        for beta in ctx.betas:
-            h = beta_matrix("H", n, beta)
+        for beta, h in hs:
             nb = n * beta
             want = Poly([exact.binom(1 - nb, m) * exact.binom(nb + 2 * n - 1, n - m)
                          for m in range(n + 1)], n)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -121,6 +122,20 @@ def test_numerator_narayana(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["coeffs"] == ["0", "6", "6"]
+
+
+# sha256 of the stdout at n = 64, recorded from the connection-matrix routes
+_NUMERATOR_DIGESTS = {
+    "narayana": "5eee0ee06a9b505a54f81e084f52214db7f0bbd7e3af60f0c145faeaf55ba777",
+    "euler": "bf3d6ba0461a56c1ef9bc51b5b0d7037affa8154c9181d61b451f0b540aeeff0",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NUMERATOR_DIGESTS))
+def test_numerator_catalan_n64_output_is_pinned(capsys, kind):
+    code, out, _ = run(capsys, "numerator", kind, "--a", "catalan", "--n", "64")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _NUMERATOR_DIGESTS[kind]
 
 
 def test_numerator_alpha(capsys):

@@ -84,11 +84,18 @@ ROWS = [
     pytest.param("matrix.FinMatrix.inverse", _output(lambda m: 2 * m),
                  ("fixtures", "thm4.3", "thm9.2", "w-amazing"), id="FinMatrix.inverse"),
     pytest.param("exact._window", _output(_bump),
-                 ("fixtures", "thm2.1", "thm2.4", "thm3.1", "thm3.2", "thm4.1", "thm4.2",
-                  "thm4.3", "thm4.4", "thm6.1", "thm6.2", "thm6.3", "thm7.1", "thm7.2",
-                  "thm8.1", "thm8.2", "thm8.3", "thm9.1", "thm9.2", "thm9.3", "thm9.4",
-                  "thm9.5", "ex3.1", "ex3.2", "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1",
-                  "eq1", "eq3", "w-amazing", "col-sums"), id="window"),
+                 ("fixtures", "thm2.1", "thm2.2", "thm2.3", "thm2.4", "thm3.1", "thm3.2",
+                  "thm4.1", "thm4.2", "thm4.3", "thm4.4", "thm6.1", "thm6.2", "thm6.3",
+                  "thm7.1", "thm7.2", "thm8.1", "thm8.2", "thm8.3", "thm9.1", "thm9.2",
+                  "thm9.3", "thm9.4", "thm9.5", "ex2.1", "ex2.2", "ex2.3", "ex3.1", "ex3.2",
+                  "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1", "eq1", "eq2", "eq3",
+                  "w-amazing", "col-sums"), id="window"),
+    # the residual route of both extractions, which stays off the window
+    pytest.param("numerator._square_row",
+                 _output(lambda row: row[:1] + [row[1] + 1] + row[2:]),
+                 ("thm2.2", "thm2.3", "thm3.2", "thm4.1", "thm4.4", "ex2.1", "ex2.2",
+                  "ex2.3", "ex3.1", "ex3.2", "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1",
+                  "eq1", "eq2", "eq3"), id="square_row"),
     pytest.param("verify._reduce", _output(lambda m: 2 * m),
                  ("fixtures", "thm6.3", "thm9.3", "w-amazing"), id="reduce"),
     pytest.param("verify._t_points", _output(lambda points: points[:-1]),

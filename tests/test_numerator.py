@@ -88,6 +88,23 @@ def test_coefficients_beyond_x_n_change_nothing():
             assert extract(b2, a2, n) == extract(b, a, n)
 
 
+def test_extractions_match_the_connection_matrix_routes():
+    """Euler is Vinv(n) on row n of (b, a-1); Narayana is (2n)!/n! times
+    the degree <= n part of U(2n) on the Sheffer row of (b, log a) lifted
+    by (x+1)...(x+n)."""
+    rng = random.Random(2210)
+    for n in range(11):
+        b, a = _pair(rng, n)
+        row = Poly(arrays.RiordanArray(b, a - 1).row(n), n)
+        got = euler_numerator(b, a, n).poly
+        assert got.coeffs == core_matrix("Vinv", n).apply(row).coeffs
+        s = arrays.RiordanArray(b, a.log(), arrays.EXPONENTIAL).sheffer_row(n)
+        lifted = (exact.rising_from(1, n) * s).with_bound(2 * n)
+        low = Poly(core_matrix("U", 2 * n).apply(lifted).coeffs[: n + 1], n)
+        got = narayana_numerator(b, a, n).poly
+        assert got.coeffs == (Q(factorial(2 * n), factorial(n)) * low).coeffs
+
+
 @pytest.mark.parametrize("call, args", [
     (euler_numerator, (geo(16), geo(16), -1)),
     (euler_numerator, (geo(16), geo(16), 2.0)),
@@ -467,6 +484,14 @@ _MEMOIZED = [(core_matrix, [(kind, n) for kind in CORE_KINDS for n in range(1, 9
 def _clear_memos():
     for ctor, _ in _MEMOIZED:
         ctor.cache_clear()
+
+
+def test_extractions_build_and_read_no_connection_matrix():
+    b, a = _pair(random.Random(6), 6)
+    _clear_memos()
+    euler_numerator(b, a, 6)
+    narayana_numerator(b, a, 6)
+    assert [ctor.cache_info().currsize for ctor, _ in _MEMOIZED] == [0, 0, 0, 0]
 
 
 def test_memoized_constructors_match_fresh_builds():
