@@ -380,9 +380,9 @@ class Poly(_Coeffs):
         return cls([1], bound)
 
     @classmethod
-    def monomial(cls, k: int, c=1, bound=None) -> "Poly":
+    def monomial(cls, k: int) -> "Poly":
         _count("degree", k)
-        return cls([_ZERO] * k + [c], k if bound is None else bound)
+        return cls([_ZERO] * k + [1], k)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient k; zero beyond the bound."""

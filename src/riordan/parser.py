@@ -5,21 +5,24 @@ Grammar (whitespace insignificant)::
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := RAT | 'x' | '(' expr ')' | FUNC '(' args ')' | 'catalan'
-    RAT    := INT ('/' INT)?
+    RAT    := INT ('/' INT)?          INT := a run of decimal digits
 
-Functions: pow(e, RAT), log(e), exp(e), sqrt(e), rev(e),
-genbin(RAT, RAT), catalan.  Rational arguments of functions may carry a
-leading minus sign (the expression grammar itself has no unary minus).
-Parse errors carry the offending position.
+Functions: pow(e, RAT), log(e), exp(e), sqrt(e), rev(e), genbin(RAT, RAT)
+and catalan, from one table, name -> (argument kinds, value at an order),
+that drives parsing and :func:`evaluate`.  A rational argument may carry
+a leading minus sign (the expression grammar has no unary minus).  Every
+bad input raises :class:`ParseError` with its position, a character that
+is not a decimal digit (``str.isdecimal``, what ``int`` reads), letter,
+space or grammar mark included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from operator import add, mul, sub, truediv
 
 from .fps import Q, Series
-
-FUNCTIONS = ("pow", "log", "exp", "sqrt", "rev", "genbin", "catalan")
 
 
 class ParseError(ValueError):
@@ -28,186 +31,148 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
+def _genbin(order, beta, phi):
+    from .genlagrange import gen_binomial_series  # at call time, so a rebinding reaches it
 
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+    return gen_binomial_series(beta, phi, order)
 
 
-def _tokenize(text: str):
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            out.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/(),":
-            out.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % c, i)
-    out.append(_Token("end", "", n))
-    return out
+# e: an expression, r: a rational.  Methods are looked up at call time, for rebinding.
+_FUNCTIONS = {
+    "pow": ("er", lambda order, e, r: e.pow(r)),
+    "log": ("e", lambda order, e: e.log()),
+    "exp": ("e", lambda order, e: e.exp()),
+    "sqrt": ("e", lambda order, e: e.sqrt()),
+    "rev": ("e", lambda order, e: e.reversion()),
+    "genbin": ("rr", _genbin),
+    "catalan": ("", lambda order: _genbin(order, 2, 1)),
+}
+
+_OPERATORS = {"add": add, "sub": sub, "mul": mul, "div": truediv}
+_OPERATOR_NAMES = dict(zip("+-*/", _OPERATORS))
+
+
+def _char_kind(c: str):
+    """Token kind of a character: int, name, space, the mark, or None."""
+    if c.isdecimal():
+        return "int"
+    if c.isalpha():
+        return "name"
+    if c.isspace():
+        return "space"
+    return c if c in "+-*/()," else None
+
+
+def _tokenize(text: str) -> list:
+    """(kind, text, position) tuples, ending with an "end" token."""
+    out, i = [], 0
+    for kind, run in groupby(map(_char_kind, text)):
+        size = len(list(run))
+        if kind is None:
+            raise ParseError("unexpected character %r" % text[i], i)
+        if kind in ("int", "name"):
+            out.append((kind, text[i:i + size], i))
+        elif kind != "space":
+            out.extend((kind, kind, j) for j in range(i, i + size))
+        i += size
+    return out + [("end", "", len(text))]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
+    def peek(self, ahead: int = 0) -> tuple:
+        return self.tokens[self.k + ahead]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.k]
+    def next(self) -> tuple:
         self.k += 1
-        return tok
+        return self.tokens[self.k - 1]
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError("expected %r, found %r" % (kind, tok.text or "end"), tok.pos)
+        if tok[0] != kind:
+            raise ParseError("expected %r, found %r" % (kind, tok[1] or "end"), tok[2])
         return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("trailing input %r" % tok.text, tok.pos)
-        return node
 
     def expr(self):
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
+        while self.peek()[0] in ("+", "-"):
+            node = (_OPERATOR_NAMES[self.next()[0]], node, self.term())
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
+        while self.peek()[0] in ("*", "/"):
+            node = (_OPERATOR_NAMES[self.next()[0]], node, self.factor())
         return node
 
     def rational(self) -> Fraction:
-        sign = 1
-        if self.peek().kind == "-":
+        negative = self.peek()[0] == "-"
+        if negative:
             self.next()
-            sign = -1
-        num = self.expect("int")
-        value = Q(int(num.text))
+        value = Q(int(self.expect("int")[1]))
         # a '/' continues the literal only when an integer follows;
         # otherwise it is term-level division
-        if self.peek().kind == "/" and self.tokens[self.k + 1].kind == "int":
+        if self.peek()[0] == "/" and self.peek(1)[0] == "int":
             self.next()
-            den = self.next()
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.pos)
-            value = Q(int(num.text), int(den.text))
-        return sign * value
+            _, den, pos = self.next()
+            if int(den) == 0:
+                raise ParseError("zero denominator", pos)
+            value /= int(den)
+        return -value if negative else value
 
     def factor(self):
-        tok = self.peek()
-        if tok.kind == "int":
+        kind, name, pos = self.peek()
+        if kind == "int":
             return ("num", self.rational())
-        if tok.kind == "(":
-            self.next()
+        self.next()
+        if kind == "(":
             node = self.expr()
             self.expect(")")
             return node
-        if tok.kind == "name":
-            self.next()
-            name = tok.text
-            if name == "x":
-                return ("x",)
-            if name not in FUNCTIONS:
-                raise ParseError("unknown name %r" % name, tok.pos)
-            if name == "catalan":
-                if self.peek().kind == "(":
-                    self.next()
-                    self.expect(")")
-                return ("catalan",)
-            self.expect("(")
-            if name == "pow":
-                inner = self.expr()
+        if kind != "name":
+            raise ParseError("expected a factor, found %r" % (name or "end"), pos)
+        if name == "x":
+            return ("x",)
+        if name not in _FUNCTIONS:
+            raise ParseError("unknown name %r" % name, pos)
+        kinds = _FUNCTIONS[name][0]
+        if not kinds and self.peek()[0] != "(":
+            return (name,)
+        self.expect("(")
+        args = [name]
+        for i, arg in enumerate(kinds):
+            if i:
                 self.expect(",")
-                exponent = self.rational()
-                self.expect(")")
-                return ("pow", inner, exponent)
-            if name == "genbin":
-                beta = self.rational()
-                self.expect(",")
-                phi = self.rational()
-                self.expect(")")
-                return ("genbin", beta, phi)
-            inner = self.expr()
-            self.expect(")")
-            return (name, inner)
-        raise ParseError("expected a factor, found %r" % (tok.text or "end"), tok.pos)
+            args.append(self.expr() if arg == "e" else self.rational())
+        self.expect(")")
+        return tuple(args)
 
 
 def parse(text: str):
     """Parse to an AST of nested tuples."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    node = parser.expr()
+    kind, rest, pos = parser.peek()
+    if kind != "end":
+        raise ParseError("trailing input %r" % rest, pos)
+    return node
 
 
 def evaluate(node, order: int) -> Series:
     """Evaluate an AST at the requested truncation order."""
-    from .genlagrange import gen_binomial_series
-
-    kind = node[0]
+    kind, *args = node
     if kind == "num":
-        return Series.const(node[1], order)
+        return Series.const(args[0], order)
     if kind == "x":
         return Series.x(order)
-    if kind in ("add", "sub", "mul", "div"):
-        lhs = evaluate(node[1], order)
-        rhs = evaluate(node[2], order)
-        if kind == "add":
-            return lhs + rhs
-        if kind == "sub":
-            return lhs - rhs
-        if kind == "mul":
-            return lhs * rhs
-        return lhs / rhs
-    if kind == "pow":
-        return evaluate(node[1], order).pow(node[2])
-    if kind == "log":
-        return evaluate(node[1], order).log()
-    if kind == "exp":
-        return evaluate(node[1], order).exp()
-    if kind == "sqrt":
-        return evaluate(node[1], order).sqrt()
-    if kind == "rev":
-        return evaluate(node[1], order).reversion()
-    if kind == "genbin":
-        return gen_binomial_series(node[1], node[2], order)
-    if kind == "catalan":
-        return gen_binomial_series(2, 1, order)
-    raise ValueError("unknown node %r" % (kind,))
+    if kind in _OPERATORS:
+        return _OPERATORS[kind](evaluate(args[0], order), evaluate(args[1], order))
+    kinds, value = _FUNCTIONS[kind]
+    return value(order, *(evaluate(a, order) if k == "e" else a
+                          for k, a in zip(kinds, args)))
 
 
 def parse_series(text: str, order: int) -> Series:

@@ -41,6 +41,7 @@ import random
 import zlib
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from . import exact
@@ -739,17 +740,17 @@ def _chk_ex31(ctx):
         a = _rand_unit(rng, 10)
         pref = 1 + xdlog(a)
         deriv = a.mul_x().derivative()
+        powers = _powers(Series.one(10), a, 11)
         for m in range(1, 10):
-            am = a.pow(m)
+            lhs = pref * powers[m]
             for n in range(0, 10 - m + 1):
                 yield ("log identity trial=%d n=%d m=%d" % (trial, n, m),
-                       (pref * am).coeffs[n], Q(m + n, m) * am.coeffs[n])
+                       lhs.coeffs[n], Q(m + n, m) * powers[m].coeffs[n])
         for m in range(0, 10):
-            am1 = a.pow(m + 1)
-            lhs = deriv * a.pow(m)
+            lhs = deriv * powers[m]
             for n in range(0, 10 - m + 1):
                 yield ("derivative identity trial=%d n=%d m=%d" % (trial, n, m),
-                       lhs.coeffs[n], Q(m + n + 1, m + 1) * am1.coeffs[n])
+                       lhs.coeffs[n], Q(m + n + 1, m + 1) * powers[m + 1].coeffs[n])
 
 
 def _chk_ex32(ctx):
@@ -825,9 +826,10 @@ def _chk_ex43(ctx):
 
 def _chk_ex61(ctx):
     top = min(5, ctx.max_n)
+    g_matrix = lru_cache(maxsize=None)(lambda n, beta: beta_matrix("G", n, beta))
     for beta in ctx.betas:
         for n in range(1, top + 1):
-            g = beta_matrix("G", n, beta)
+            g = g_matrix(n, beta)
             fam = beta_family(beta, 1, n)
             fam_beta = beta_family(beta, beta, n)
             fam1 = beta_family(beta + 1, 1, n)
@@ -853,7 +855,7 @@ def _chk_ex61(ctx):
             image_b = (1 + xdlog(h.div_x()))
             for n in range(1, top + 1):
                 yield ("transport trial=%d beta=%s n=%d" % (trial, beta, n),
-                       beta_matrix("G", n, beta).apply(alpha_poly(a, n)),
+                       g_matrix(n, beta).apply(alpha_poly(a, n)),
                        euler_numerator(image_b, lag, n).poly)
 
 

@@ -48,6 +48,16 @@ def test_series_parse_error(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("argv, position", [
+    (("series", "\u00b2"), 0),
+    (("numerator", "euler", "--a", "1+\u00b2", "--n", "2"), 2),
+])
+def test_non_decimal_digit_is_a_parse_error(capsys, argv, position):
+    # a superscript two is a digit to str.isdigit but not to int()
+    assert run(capsys, *argv) == (
+        1, "", "parse error: unexpected character '\u00b2' (at position %d)\n" % position)
+
+
 def test_series_domain_error(capsys):
     code, out, err = run(capsys, "series", "1/x")
     assert code == 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -89,3 +90,79 @@ def test_ast_shape():
     assert parse("genbin(1/2, -1)") == ("genbin", Q(1, 2), Q(-1))
     kind, left, right = parse("1+x")
     assert kind == "add" and left == ("num", Q(1)) and right == ("x",)
+
+
+# -- seeded fuzz --------------------------------------------------------------
+
+MARKS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+LEAVES = ("num", "x", "catalan", "genbin")
+INNER = (*MARKS, "pow", "log", "exp", "sqrt", "rev")
+
+
+def _random_rational(rng, signed):
+    value = Q(rng.randint(0, 30), rng.choice([1, 1, 2, 3, 7]))
+    return -value if signed and rng.random() < 0.4 else value
+
+
+def _random_ast(rng, depth):
+    """A random AST of at most ``depth`` levels over every node shape."""
+    kind = rng.choice(LEAVES + INNER if depth else LEAVES)
+    if kind == "num":
+        return ("num", _random_rational(rng, False))
+    if kind in ("x", "catalan"):
+        return (kind,)
+    if kind == "genbin":
+        return (kind, _random_rational(rng, True), _random_rational(rng, True))
+    if kind in MARKS:
+        return (kind, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+    if kind == "pow":
+        return (kind, _random_ast(rng, depth - 1), _random_rational(rng, True))
+    return (kind, _random_ast(rng, depth - 1))
+
+
+def _literal(q):
+    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+
+
+def _text(node, rng):
+    """The AST in the series language with random spacing.  Operands are
+    parenthesized, so that the division of two literals stays a division."""
+    kind, *args = node
+    space = rng.choice(("", "", " ", "  "))
+    if kind == "num":
+        return _literal(args[0])
+    if kind == "x":
+        return "x"
+    if kind == "catalan":
+        return rng.choice(("catalan", "catalan()", "catalan( )"))
+    if kind in MARKS:
+        return "(%s)%s%s%s(%s)" % (_text(args[0], rng), space, MARKS[kind], space,
+                                  _text(args[1], rng))
+    if kind == "genbin":
+        return "genbin(%s,%s%s)" % (_literal(args[0]), space, _literal(args[1]))
+    if kind == "pow":
+        return "pow(%s,%s%s)" % (_text(args[0], rng), space, _literal(args[1]))
+    return "%s(%s%s%s)" % (kind, space, _text(args[0], rng), space)
+
+
+def test_printed_ast_parses_back_to_itself():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        node = _random_ast(rng, rng.randint(0, 4))
+        text = _text(node, rng)
+        assert parse(text) == node, text
+
+
+def test_random_strings_parse_or_raise_a_positioned_parse_error():
+    # besides the language, the alphabet has digits that int() does not
+    # read (superscript two, Arabic-Indic one), a vulgar half, a letter
+    # outside ASCII and marks outside the grammar
+    rng = random.Random(20261019)
+    atoms = (list("0123456789abcxyzgpqe+-*/(), ") + list(LEAVES[2:] + INNER[4:])
+             + ["\u00b2", "\u0661", "\u00bd", "\u00e9", "_", "^", "."])
+    for _ in range(20000):
+        text = "".join(rng.choice(atoms) for _ in range(12))[:rng.randint(0, 12)]
+        try:
+            assert isinstance(parse(text), tuple), text
+        except ParseError as err:
+            assert 0 <= err.position <= len(text), text
