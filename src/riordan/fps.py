@@ -40,6 +40,13 @@ product of the two lcm denominators gives the rational coefficient.
 The cost follows the packed size, so it grows with the lcm of an
 operand's denominators rather than with each coefficient's own height.
 
+Every rational dot product (``FinMatrix`` products and ``apply``, the
+blocks of ``compose``, both numerator extractions) is one kernel,
+:func:`_dots`.  With rows a_i = A_i/L and columns b_i = B_i/M over the
+lcms L and M of their denominators, sum(a_i b_i) = sum(A_i B_i)/(L M)
+exactly: one integer dot product and one reduced Fraction per entry, at
+a cost that follows L and M rather than each entry's own height.
+
 The inverse, the exponential and fractional powers run on integers too,
 in the manner of FLINT's ``fmpq_poly``: the operand is written A/D with
 integer A_j over the lcm D of its denominators (:func:`_to_ints`), each
@@ -84,11 +91,10 @@ once, as f_(bm+i) g^i (g^m)^b, and truncation at x^(n+1) commutes with
 sums and products, so the result equals Horner's coefficient for
 coefficient, at the same order min(f.order, g.order).  The cost:
 m - 1 full products for the baby powers g^2..g^(m-1) and the giant
-g^m; one integer dot product of length m per coefficient of each block,
-over the lcm of the baby powers' denominators times that of f, with one
-Fraction per coefficient at the end; then n // m full products for the
-Horner steps in g^m.  That is about 2 sqrt(n) products of the kernel
-above instead of n.
+g^m; one :func:`_dots` call for all the blocks, f's blocks (padded with
+zeros) against the columns [x^k] g^0..g^(m-1); then n // m full
+products for the Horner steps in g^m.  That is about 2 sqrt(n) products
+of the kernel above instead of n.
 
 Where the library computes one value by two routes, :func:`agree` holds
 the two results against each other.  It uses the values' own ``==`` and,
@@ -236,6 +242,20 @@ def _to_ints(coeffs):
 def _ratio(num: int, den: int) -> Fraction:
     """The reduced Fraction num/den (den != 0)."""
     return _ZERO if num == 0 else Q(num) if den == 1 else Q(num, den)
+
+
+def _dots(rows, cols) -> list:
+    """[[sum(r * c) for c in cols] for r in rows] for vectors of one
+    length, on integers over the rows' and the columns' lcm denominators
+    (see the module docstring)."""
+    scaled = []
+    for vectors in (rows, cols):
+        flat, den = _to_ints([v for vec in vectors for v in vec])
+        w = len(vectors[0])
+        scaled.append(([flat[i:i + w] for i in range(0, len(flat), w)], den))
+    (rows, da), (cols, db) = scaled
+    den = da * db
+    return [[_ratio(sum(map(mul, r, c)), den) for c in cols] for r in rows]
 
 
 def _weights(ints, r: int) -> list:
@@ -565,8 +585,8 @@ class Series(_Coeffs):
         """self(inner(x)); the inner series needs a zero constant term.
 
         Baby-step/giant-step (Brent and Kung): with n the order and
-        m = isqrt(n), the blocks B_b = sum(f_(bm+i) g^i, i < m) are integer
-        dot products against the baby powers g^0..g^(m-1), and
+        m = isqrt(n), the blocks B_b = sum(f_(bm+i) g^i, i < m) are one
+        :func:`_dots` call against the baby powers g^0..g^(m-1), and
         f(g) = B_0 + g^m (B_1 + g^m (B_2 + ...)) by Horner in g^m (see the
         module docstring).
         """
@@ -576,15 +596,12 @@ class Series(_Coeffs):
         m = max(isqrt(n), 1)
         powers = _powers(Series.one(n), inner.truncate(n), m + 1)
         giant = powers.pop()  # g^m; g^0..g^(m-1) stay as the baby steps
-        ints, den = _to_ints([c for p in powers for c in p.coeffs])
-        cols = [ints[k::n + 1] for k in range(n + 1)]  # cols[k][i] = [x^k] g^i
-        f, fden = _to_ints(self.coeffs[: n + 1])
-        den *= fden
-        acc = None
-        for b in range(n // m * m, -1, -m):
-            fb = f[b: b + m]
-            block = Series([_ratio(sum(map(mul, fb, col)), den) for col in cols], n)
-            acc = block if acc is None else acc * giant + block
+        cols = list(zip(*[p.coeffs for p in powers]))  # cols[k][i] = [x^k] g^i
+        f = self.coeffs[: n + 1] + (_ZERO,) * (m - 1)
+        blocks = _dots([f[b: b + m] for b in range(0, n + 1, m)], cols)
+        acc = Series(blocks.pop(), n)
+        for block in reversed(blocks):
+            acc = acc * giant + Series(block, n)
         return acc
 
     def reversion(self) -> "Series":

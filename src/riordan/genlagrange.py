@@ -220,7 +220,7 @@ def beta_u_transform(u: Poly, n: int, beta) -> Poly:
     division is exact just when u(0) = 0, which :func:`agree` demands;
     then u = x*v and the transform is x * v(x + n*beta)."""
     beta = _q(beta)
-    nb = n * beta
+    nb = _count("n", n) * beta
     if nb == 0:
         return u
     agree("u transform: row polynomial u(0) against 0", u.coeff(0), Q(0), n=n, beta=beta)
@@ -231,7 +231,7 @@ def beta_u_transform(u: Poly, n: int, beta) -> Poly:
 def beta_q_transform(q: Series, n: int, beta) -> Series:
     """1/(1 + n*beta*x) * q(x / (1 + n*beta*x))."""
     beta = _q(beta)
-    nb = n * beta
+    nb = _count("n", n) * beta
     if nb == 0:
         return q
     den = Series.from_poly([1, nb], q.order)

@@ -6,38 +6,18 @@ convention.  A matrix is immutable: ``data`` is a tuple of row tuples,
 every operation builds a new matrix, and ``row``/``column`` return fresh
 lists, so one matrix can be shared by every caller that asks for it.
 
-Products and ``apply`` work on integers: each operand is scaled to
-integer lists over the lcm of its entries' denominators (the rows of the
-left one, the columns of the right one), each entry of the result is one
-integer dot product, and it becomes a reduced Fraction once, over the
-product of the two lcms.  A rational dot product sum(a_i b_i) with
-a_i = A_i/L and b_i = B_i/M is exactly sum(A_i B_i)/(L M), so the result
-is the same as with Fraction arithmetic throughout; the cost follows the
-two lcms rather than each entry's own height.
+Products and ``apply`` are one call each of ``fps._dots``, the one
+rational dot-product kernel: the left rows against the right columns (or
+the coefficient column), on integers over two lcm denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
-from .fps import (DomainError, Poly, Q, RangeError, _count, _power, _q, _ratio,
-                  _to_ints)
+from .fps import DomainError, Poly, Q, RangeError, _count, _dots, _power, _q
 
 _SCALARS = (int, Fraction)
-
-
-def _int_rows(rows):
-    """The rows as integer lists over the lcm of every entry's
-    denominator, and that lcm."""
-    flat, den = _to_ints([v for row in rows for v in row])
-    w = len(rows[0])
-    return [flat[i:i + w] for i in range(0, len(flat), w)], den
-
-
-def _products(rows, cols, den):
-    """[[sum(r * c) / den for c in cols] for r in rows] on integer lists."""
-    return [[_ratio(sum(map(mul, r, c)), den) for c in cols] for r in rows]
 
 
 class FinMatrix:
@@ -58,8 +38,7 @@ class FinMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "FinMatrix":
-        _count("identity size", n, 1)
-        return cls([[Q(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls.diag([1] * _count("identity size", n, 1))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "FinMatrix":
@@ -93,10 +72,12 @@ class FinMatrix:
         return self.data[i][j]
 
     def row(self, i: int):
+        self.entry(i, 0)  # checks the index
         return list(self.data[i])
 
     def column(self, j: int):
-        return [self.data[i][j] for i in range(self.n_rows)]
+        self.entry(0, j)  # checks the index
+        return [row[j] for row in self.data]
 
     def column_poly(self, j: int) -> Poly:
         return Poly(self.column(j), self.n_rows - 1)
@@ -110,8 +91,7 @@ class FinMatrix:
     def __eq__(self, other):
         if not isinstance(other, FinMatrix):
             return NotImplemented
-        return (self.n_rows == other.n_rows and self.n_cols == other.n_cols
-                and self.data == other.data)
+        return self.data == other.data  # equal row tuples have equal shapes
 
     __hash__ = None
 
@@ -120,23 +100,16 @@ class FinMatrix:
     def __add__(self, other):
         if not isinstance(other, FinMatrix):
             return NotImplemented
-        self._shape_check(other)
+        if self.n_rows != other.n_rows or self.n_cols != other.n_cols:
+            raise DomainError("matrix shapes differ")
         return FinMatrix([[a + b for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other):
-        if not isinstance(other, FinMatrix):
-            return NotImplemented
-        self._shape_check(other)
-        return FinMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        return self + (-other)
 
     def __neg__(self):
         return FinMatrix([[-a for a in row] for row in self.data])
-
-    def _shape_check(self, other):
-        if self.n_rows != other.n_rows or self.n_cols != other.n_cols:
-            raise DomainError("matrix shapes differ")
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -146,14 +119,9 @@ class FinMatrix:
             return NotImplemented
         if self.n_cols != other.n_rows:
             raise DomainError("inner matrix dimensions differ")
-        rows, da = _int_rows(self.data)
-        cols, db = _int_rows(list(zip(*other.data)))
-        return FinMatrix(_products(rows, cols, da * db))
+        return FinMatrix(_dots(self.data, list(zip(*other.data))))
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # Fraction products commute
 
     def __pow__(self, k: int):
         if not self.is_square():
@@ -194,9 +162,7 @@ class FinMatrix:
             raise DomainError(
                 "polynomial bound %d does not match matrix width %d"
                 % (poly.bound, self.n_cols))
-        rows, da = _int_rows(self.data)
-        vec, dv = _to_ints(poly.coeffs)
-        return Poly([r[0] for r in _products(rows, [vec], da * dv)], self.n_rows - 1)
+        return Poly([r[0] for r in _dots(self.data, [poly.coeffs])], self.n_rows - 1)
 
     def minor(self) -> "FinMatrix":
         """Strip the first row and column."""

@@ -6,9 +6,11 @@ denominator (1-x)^(2n+1) and numerator h_n.  With p_n(m) = [x^n] b*a^m,
 g_n = (1-x)^(n+1) sum p_n(m) x^m and h_n = (1-x)^(2n+1) sum
 (m+1)...(m+n) p_n(m) x^m: both are windows built by ``exact._window``,
 with p_n(m) read off row n of (b, a-1) and off the Sheffer row n! p_n(m)
-of (b, log a), and no connection matrix.  They read b and a only through
-x^n, so each needs series of order at least n.  Each then multiplies the
-square row p_n(0..2n+1) by (1-x)^power itself, apart from the window, and
+of (b, log a), and no connection matrix.  The values are one
+``fps._dots`` call, the row against the integer columns C(m, p) (Euler)
+or C(m+n, n) m^p (Narayana).  Both read b and a only through x^n, so
+each needs series of order at least n.  Each then multiplies the square
+row p_n(0..2n+1) by (1-x)^power itself, apart from the window, and
 demands the numerator with zeros above it, so a wrong window cannot give
 extraction and residual the same wrong numerator and pass.
 
@@ -47,12 +49,11 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial
-from operator import mul
 
 from . import exact
 from .arrays import EXPONENTIAL, RiordanArray
-from .fps import (DomainError, Poly, Q, RangeError, Series, _count, _powers, _q,
-                  _ratio, _to_ints, agree)
+from .fps import (DomainError, Poly, Q, RangeError, Series, _count, _dots, _powers,
+                  _q, agree)
 from .matrix import FinMatrix
 
 _ONE_MINUS_X = Poly([1, -1])
@@ -86,19 +87,13 @@ def _square_row(b: Series, a: Series, n: int) -> list:
     return [p.coeffs[n] for p in _powers(b.truncate(n), a.truncate(n), 2 * n + 2)]
 
 
-def _dots(coeffs, rows) -> list:
-    """sum(coeffs[p] * row[p]) for each integer row, as integer dot
-    products over the one denominator of coeffs."""
-    ints, den = _to_ints(coeffs)
-    return [_ratio(sum(map(mul, ints, row)), den) for row in rows]
-
-
 def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
     """Numerator g_n of row n of the square array (b, a): the window of
-    p_n(m) = sum r_p C(m, p) for m = 0..n, r row n of (b, a-1)."""
+    p_n(m) = sum r_p C(m, p) for m, p = 0..n (C(m, p) = 0 for p > m), r
+    row n of (b, a-1)."""
     _check_square_pair(b, a, n)
     row = RiordanArray(b.truncate(n), a.truncate(n) - 1).row(n)
-    values = _dots(row, ([comb(m, p) for p in range(m + 1)] for m in range(n + 1)))
+    values = _dots([row], [[comb(m, p) for p in range(n + 1)] for m in range(n + 1)])[0]
     g = exact._window(values, n + 1)
     _check_residual(_square_row(b, a, n), n + 1, g, n)
     return NumeratorResult(g, n + 1)
@@ -110,8 +105,8 @@ def narayana_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
     (b, log a), which must have degree <= n."""
     _check_square_pair(b, a, n)
     s = RiordanArray(b.truncate(n), a.truncate(n).log(), EXPONENTIAL).sheffer_row(n)
-    values = _dots(s.coeffs, ([comb(m + n, n) * m ** p for p in range(n + 1)]
-                              for m in range(2 * n + 1)))
+    values = _dots([s.coeffs], [[comb(m + n, n) * m ** p for p in range(n + 1)]
+                                for m in range(2 * n + 1)])[0]
     lifted = exact._window(values, 2 * n + 1)
     h = Poly(lifted.coeffs[: n + 1], n)
     agree("Narayana numerator: lifted Sheffer row against its degree <= n part",
@@ -170,13 +165,9 @@ def shift_matrix(phi, size: int) -> FinMatrix:
     """Matrix of c(x) -> c(x + phi) on polynomials of bound size-1."""
     phi = _q(phi)
     _count("shift matrix size", size, 1)
-    data = [[Q(0)] * size for _ in range(size)]
-    for j in range(size):
-        p = Q(1)
-        for i in range(j, -1, -1):
-            data[i][j] = comb(j, i) * p
-            p *= phi
-    return FinMatrix(data)
+    powers = [phi ** k for k in range(size)]
+    return FinMatrix([[comb(j, i) * powers[j - i] if i <= j else Q(0) for j in range(size)]
+                      for i in range(size)])
 
 
 def alt_matrix(size: int) -> FinMatrix:

@@ -154,7 +154,10 @@ class _Parser:
 def parse(text: str):
     """Parse to an AST of nested tuples."""
     parser = _Parser(text)
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:  # each nesting level costs three frames
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
     kind, rest, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input %r" % rest, pos)
@@ -162,17 +165,24 @@ def parse(text: str):
 
 
 def evaluate(node, order: int) -> Series:
-    """Evaluate an AST at the requested truncation order."""
+    """Evaluate an AST at the requested truncation order.  A left-leaning
+    operator chain (a long sum) is folded in a loop, left to right."""
+    chain = []
+    while node[0] in _OPERATORS:
+        chain.append(node)
+        node = node[1]
     kind, *args = node
     if kind == "num":
-        return Series.const(args[0], order)
-    if kind == "x":
-        return Series.x(order)
-    if kind in _OPERATORS:
-        return _OPERATORS[kind](evaluate(args[0], order), evaluate(args[1], order))
-    kinds, value = _FUNCTIONS[kind]
-    return value(order, *(evaluate(a, order) if k == "e" else a
-                          for k, a in zip(kinds, args)))
+        value = Series.const(args[0], order)
+    elif kind == "x":
+        value = Series.x(order)
+    else:
+        kinds, function = _FUNCTIONS[kind]
+        value = function(order, *(evaluate(a, order) if k == "e" else a
+                                  for k, a in zip(kinds, args)))
+    for kind, _, right in reversed(chain):
+        value = _OPERATORS[kind](value, evaluate(right, order))
+    return value
 
 
 def parse_series(text: str, order: int) -> Series:

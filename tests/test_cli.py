@@ -58,6 +58,19 @@ def test_non_decimal_digit_is_a_parse_error(capsys, argv, position):
         1, "", "parse error: unexpected character '\u00b2' (at position %d)\n" % position)
 
 
+def test_deeply_nested_series_is_a_parse_error(capsys):
+    # three parser frames a level: 400 levels overflow the recursion limit
+    code, out, err = run(capsys, "series", "(" * 400 + "x" + ")" * 400)
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: expression nested too deeply (at position")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_long_sum_evaluates_without_recursion(capsys):
+    code, out, _ = run(capsys, "series", "x" + "+x" * 1200, "--order", "2")
+    assert (code, out) == (0, "0, 1201, 0\n")
+
+
 def test_series_domain_error(capsys):
     code, out, err = run(capsys, "series", "1/x")
     assert code == 1

@@ -53,6 +53,15 @@ def _output(change):
 
 
 ROWS = [
+    # the one rational dot-product kernel: matrix products and apply,
+    # compose's blocks and both extractions
+    pytest.param("fps._dots", _output(lambda out: [[out[0][0] + 1] + out[0][1:]] + out[1:]),
+                 ("fixtures", "thm2.1", "thm2.2", "thm2.3", "thm2.4", "thm3.1", "thm3.2",
+                  "thm4.1", "thm4.2", "thm4.3", "thm4.4", "thm6.1", "thm6.2", "thm6.3",
+                  "thm7.1", "thm7.2", "thm8.1", "thm8.2", "thm8.3", "thm9.1", "thm9.2",
+                  "thm9.3", "thm9.4", "thm9.5", "ex2.1", "ex2.2", "ex2.3", "ex3.1", "ex3.2",
+                  "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1", "eq1", "eq2", "eq3",
+                  "section5", "w-amazing", "col-sums"), id="dots"),
     pytest.param("numerator.alt_matrix", _output(lambda m: FinMatrix.identity(m.n_rows)),
                  ("thm2.1", "thm3.1", "thm8.1", "thm8.3"), id="alt_matrix"),
     pytest.param("genlagrange.beta_phi_closed", _output(_bump),
