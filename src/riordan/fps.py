@@ -39,13 +39,27 @@ was negative, recovers it digit by digit.  Dividing each digit by the
 product of the two lcm denominators gives the rational coefficient.
 The cost follows the packed size, so it grows with the lcm of an
 operand's denominators rather than with each coefficient's own height.
+An operand that is zero past its constant term is not packed: the
+product is its constant times each coefficient of the other operand.
+
+A Poly or Series keeps the integer form of its coefficients (the
+integers over their lcm, and the lcm) once a product, an inverse, an
+exponential or a power has computed it (:func:`_int_form`).  The values
+are immutable, so the form can never go stale, and a value that is read
+many times, such as g in the power walk f, f*g, f*g^2, ..., is scaled
+once.  The form is private: equality, ``repr`` and ``coeffs`` never read
+it.  A product read through x^n of an operand with more coefficients
+scales that operand's first n+1 afresh, over their own lcm.
 
 Every rational dot product (``FinMatrix`` products and ``apply``, the
 blocks of ``compose``, both numerator extractions) is one kernel,
 :func:`_dots`.  With rows a_i = A_i/L and columns b_i = B_i/M over the
 lcms L and M of their denominators, sum(a_i b_i) = sum(A_i B_i)/(L M)
 exactly: one integer dot product and one reduced Fraction per entry, at
-a cost that follows L and M rather than each entry's own height.
+a cost that follows L and M rather than each entry's own height.  The
+scaled vectors with their lcm form one opaque operand, :class:`_Scaled`,
+which ``FinMatrix`` keeps for its rows and its columns, so a memoized
+matrix is scaled once however many products read it.
 
 The inverse, the exponential and fractional powers run on integers too,
 in the manner of FLINT's ``fmpq_poly``: the operand is written A/D with
@@ -220,11 +234,9 @@ def _power(base, k: int, one):
 
 def _powers(f, g, count: int) -> list:
     """f, f*g, ..., f*g^(count-1), one product per step: for series, the
-    first ``count`` column series of the pair (f, g).  When f is the unit
-    series the second entry is g itself (cut to f's order), not 1*g."""
+    first ``count`` column series of the pair (f, g).  A unit f costs no
+    packing: :func:`_convolve` takes a constant operand as a scalar."""
     powers = [f]
-    if count > 1 and f == 1:
-        powers.append(g if g.order <= f.order else g.truncate(f.order))
     while len(powers) < count:
         powers.append(powers[-1] * g)
     return powers[:count]
@@ -244,18 +256,28 @@ def _ratio(num: int, den: int) -> Fraction:
     return _ZERO if num == 0 else Q(num) if den == 1 else Q(num, den)
 
 
+class _Scaled:
+    """Rational vectors of one length as integer vectors (``ints``) over
+    the lcm of all their denominators (``den``): the operand form of
+    :func:`_dots`.  A caller that reuses its vectors keeps this form, so
+    they are scaled once; nothing outside this module reads it."""
+
+    __slots__ = ("ints", "den")
+
+    def __init__(self, vectors):
+        flat, self.den = _to_ints([v for vec in vectors for v in vec])
+        w = len(vectors[0])
+        self.ints = [flat[i:i + w] for i in range(0, len(flat), w)]
+
+
 def _dots(rows, cols) -> list:
     """[[sum(r * c) for c in cols] for r in rows] for vectors of one
     length, on integers over the rows' and the columns' lcm denominators
-    (see the module docstring)."""
-    scaled = []
-    for vectors in (rows, cols):
-        flat, den = _to_ints([v for vec in vectors for v in vec])
-        w = len(vectors[0])
-        scaled.append(([flat[i:i + w] for i in range(0, len(flat), w)], den))
-    (rows, da), (cols, db) = scaled
-    den = da * db
-    return [[_ratio(sum(map(mul, r, c)), den) for c in cols] for r in rows]
+    (see the module docstring).  ``rows`` and ``cols`` are each a list of
+    vectors or its :class:`_Scaled` form."""
+    rows, cols = [v if isinstance(v, _Scaled) else _Scaled(v) for v in (rows, cols)]
+    den = rows.den * cols.den
+    return [[_ratio(sum(map(mul, r, c)), den) for c in cols.ints] for r in rows.ints]
 
 
 def _weights(ints, r: int) -> list:
@@ -283,20 +305,34 @@ def _unscale(h, den: int, r: int) -> list:
     return out
 
 
+def _int_form(value, coeffs):
+    """:func:`_to_ints` of ``coeffs``, the leading coefficients of
+    ``value`` (a Poly, a Series or a list).  When they are all of a Poly's
+    or a Series' coefficients, the form is computed on first use and kept
+    on the value, which is immutable."""
+    if isinstance(value, _Coeffs) and len(coeffs) == len(value.coeffs):
+        if value._ints is None:
+            value._ints = _to_ints(coeffs)
+        return value._ints
+    return _to_ints(coeffs)
+
+
 def _convolve(a, b, n: int) -> list:
-    """Coefficients 0..n of the product of two nonempty Fraction lists,
-    exactly, by Kronecker substitution (see the module docstring)."""
-    a, b = a[: n + 1], b[: n + 1]
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:  # a scalar times a list: packing would cost more
-        c = a[0]
-        out = [c * v for v in b]
-        out.extend([_ZERO] * (n + 1 - len(out)))
-        return out
-    ia, da = _to_ints(a)
-    ib, db = _to_ints(b)
-    w = (max(map(abs, ia)) * max(map(abs, ib)) * len(a)).bit_length() + 2
+    """Coefficients 0..n of the product of a and b, each a Poly, a Series
+    or a nonempty list of rationals, exactly, by Kronecker substitution
+    (see the module docstring).  An operand that is zero past its constant
+    term is a scalar: its constant times each coefficient of the other."""
+    ca, cb = [getattr(v, "coeffs", v)[: n + 1] for v in (a, b)]
+    if len(ca) > len(cb):
+        a, b, ca, cb = b, a, cb, ca
+    for c, other in ((ca, cb), (cb, ca)):
+        if not any(c[1:]):  # packing would cost more
+            out = [c[0] * v for v in other]
+            out.extend([_ZERO] * (n + 1 - len(out)))
+            return out
+    ia, da = _int_form(a, ca)
+    ib, db = _int_form(b, cb)
+    w = (max(map(abs, ia)) * max(map(abs, ib)) * len(ca)).bit_length() + 2
     pa = pb = 0
     for v in reversed(ia):
         pa = (pa << w) + v
@@ -321,7 +357,7 @@ class _Coeffs:
     subclass names its size (``_SIZE``), fits coefficients to a size
     (``_fit``) and gives the size of a sum and of a product."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs, size=None):
         # from a list: CPython resizes a tuple built from an iterator, and its
@@ -330,6 +366,16 @@ class _Coeffs:
         if size is None:
             size = max(len(coeffs) - 1, 0)
         self.coeffs = self._fit(coeffs, _count(self._SIZE, size))
+        self._ints = None  # the integer form, kept by _int_form
+
+    @classmethod
+    def _of(cls, coeffs):
+        """The value on a list of Fractions that already has its size, as a
+        product gives it: no second coercion, no fitting."""
+        value = object.__new__(cls)
+        value.coeffs = tuple(coeffs)
+        value._ints = None
+        return value
 
     __hash__ = None
 
@@ -355,10 +401,10 @@ class _Coeffs:
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             q = _q(other)
-            return type(self)([c * q for c in self.coeffs])
+            return type(self)._of([c * q for c in self.coeffs])
         if not isinstance(other, type(self)):
             return NotImplemented
-        return type(self)(_convolve(self.coeffs, other.coeffs, self._mul_size(other)))
+        return type(self)._of(_convolve(self, other, self._mul_size(other)))
 
     __rmul__ = __mul__
 
@@ -542,7 +588,7 @@ class Series(_Coeffs):
         With self = A/D over the integers and c = A_0, coefficient k is
         D N_k / c^(k+1), where N_0 = 1 and N_k = -sum(A_j c^(j-1) N_(k-j)).
         """
-        a, d = _to_ints(self.coeffs)
+        a, d = _int_form(self, self.coeffs)
         c = a[0]
         if c == 0:
             raise DomainError("division by a series with zero constant term")
@@ -550,7 +596,7 @@ class Series(_Coeffs):
         nums = [1]
         for _ in range(self.order):
             nums.append(-_step(w, nums))
-        return Series(_unscale([d * v for v in nums], c, c), self.order)
+        return Series._of(_unscale([d * v for v in nums], c, c))
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
@@ -652,12 +698,12 @@ class Series(_Coeffs):
         """
         if self.coeffs[0] != 0:
             raise DomainError("exp needs zero constant term")
-        a, d = _to_ints(self.coeffs)
+        a, d = _int_form(self, self.coeffs)
         w = [j * v for j, v in enumerate(_weights(a, d), 1)]
         h = [factorial(self.order)]
         for k in range(1, self.order + 1):
             h.append(_step(w, h) // k)
-        return Series(_unscale(h, h[0], d), self.order)
+        return Series._of(_unscale(h, h[0], d))
 
     def pow(self, exponent) -> "Series":
         """Rational power.  Integer exponents work for any invertible
@@ -675,14 +721,14 @@ class Series(_Coeffs):
             if self.coeffs[0] != 1:
                 raise DomainError("fractional powers need constant term 1")
             p, q = e.numerator, e.denominator
-            u, d = _to_ints(self.coeffs)
+            u, d = _int_form(self, self.coeffs)
             r = q * d
             w = _weights(u, r)
             h = [factorial(self.order)]
             for k in range(1, self.order + 1):
                 c1 = p + q - q * k  # (p+q) j - q k at j = 1, rising by p+q
                 h.append(_step(map(mul, range(c1, c1 + k * (p + q), p + q), w), h) // k)
-            return Series(_unscale(h, h[0], r), self.order)
+            return Series._of(_unscale(h, h[0], r))
         if e < 0:
             return self.pow(-e).inverse()
         return _power(self, e.numerator, Series.one(self.order))

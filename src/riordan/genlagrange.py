@@ -37,6 +37,15 @@ t_poly(n, phi, beta') = sum_m binom(phi, m) binom(beta', n-m) x^m:
 X keeps its own closed form: the battery checks G(1/n) = I + X, and an
 X read off G's closed form would make that check hold by construction.
 
+``beta_matrix`` depends only on its arguments, so it is memoized as the
+matrix constructors of ``numerator`` are: its self-check runs once per
+key per process, a hit returns a matrix that has passed it, a call that
+raises stores nothing, and the keys are typed (``cache_clear()`` empties
+the memo).  Unlike theirs, this memo is bounded, to the 128 most recently
+used keys: its keys grow with n^2 times the betas, so an unbounded memo
+doubles the peak memory of the battery at ``--max-n 16``, while 128
+entries already catch most of the battery's repeats at its default size.
+
 Each such pair, and the Lagrange series' checks against its fixed point
 and its row formula, goes through ``fps.agree``, which raises
 ConsistencyError naming the route, the parameters and the first
@@ -48,6 +57,7 @@ transform: row polynomial u(0) against 0 (n=1, beta=1): got 1, want
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from . import exact
@@ -175,6 +185,7 @@ def _x_closed(n: int) -> FinMatrix:
     return FinMatrix.from_columns(cols, size)
 
 
+@lru_cache(maxsize=128, typed=True)
 def beta_matrix(kind: str, n: int, beta=None) -> FinMatrix:
     """The conjugated-shift families G, H, A, T and the nilpotent X.
 

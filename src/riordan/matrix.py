@@ -8,20 +8,23 @@ lists, so one matrix can be shared by every caller that asks for it.
 
 Products and ``apply`` are one call each of ``fps._dots``, the one
 rational dot-product kernel: the left rows against the right columns (or
-the coefficient column), on integers over two lcm denominators.
+the coefficient column), on integers over two common denominators.  A
+matrix keeps the integer form of its rows and of its columns, each made
+by ``fps`` on first use, so a matrix shared through a memo is scaled
+once; only ``fps`` knows what that form holds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fps import DomainError, Poly, Q, RangeError, _count, _dots, _power, _q
+from .fps import DomainError, Poly, Q, RangeError, _count, _dots, _power, _q, _Scaled
 
 _SCALARS = (int, Fraction)
 
 
 class FinMatrix:
-    __slots__ = ("n_rows", "n_cols", "data")
+    __slots__ = ("n_rows", "n_cols", "data", "_row_form", "_col_form")
 
     def __init__(self, rows):
         data = tuple([tuple([_q(v) for v in row]) for row in rows])
@@ -33,6 +36,19 @@ class FinMatrix:
         self.data = data
         self.n_rows = len(data)
         self.n_cols = width
+        self._row_form = self._col_form = None
+
+    def _rows(self) -> _Scaled:
+        """The rows in the operand form of ``fps._dots``, made on first use."""
+        if self._row_form is None:
+            self._row_form = _Scaled(self.data)
+        return self._row_form
+
+    def _cols(self) -> _Scaled:
+        """The columns in the operand form of ``fps._dots``, made on first use."""
+        if self._col_form is None:
+            self._col_form = _Scaled(list(zip(*self.data)))
+        return self._col_form
 
     # -- constructors --------------------------------------------------
 
@@ -119,7 +135,7 @@ class FinMatrix:
             return NotImplemented
         if self.n_cols != other.n_rows:
             raise DomainError("inner matrix dimensions differ")
-        return FinMatrix(_dots(self.data, list(zip(*other.data))))
+        return FinMatrix(_dots(self._rows(), other._cols()))
 
     __rmul__ = __mul__  # Fraction products commute
 
@@ -162,7 +178,7 @@ class FinMatrix:
             raise DomainError(
                 "polynomial bound %d does not match matrix width %d"
                 % (poly.bound, self.n_cols))
-        return Poly([r[0] for r in _dots(self.data, [poly.coeffs])], self.n_rows - 1)
+        return Poly([r[0] for r in _dots(self._rows(), [poly.coeffs])], self.n_rows - 1)
 
     def minor(self) -> "FinMatrix":
         """Strip the first row and column."""

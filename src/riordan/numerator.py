@@ -105,8 +105,9 @@ def narayana_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
     (b, log a), which must have degree <= n."""
     _check_square_pair(b, a, n)
     s = RiordanArray(b.truncate(n), a.truncate(n).log(), EXPONENTIAL).sheffer_row(n)
-    values = _dots([s.coeffs], [[comb(m + n, n) * m ** p for p in range(n + 1)]
-                                for m in range(2 * n + 1)])[0]
+    binoms = [comb(m + n, n) for m in range(2 * n + 1)]
+    values = _dots([s.coeffs], [[c * m ** p for p in range(n + 1)]
+                                for m, c in enumerate(binoms)])[0]
     lifted = exact._window(values, 2 * n + 1)
     h = Poly(lifted.coeffs[: n + 1], n)
     agree("Narayana numerator: lifted Sheffer row against its degree <= n part",

@@ -78,10 +78,16 @@ def _tokenize(text: str) -> list:
     return out + [("end", "", len(text))]
 
 
+# parentheses and function calls nested deeper than this are a ParseError;
+# parsing a level takes three frames and evaluating one at most two
+_MAX_DEPTH = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> tuple:
         return self.tokens[self.k + ahead]
@@ -97,9 +103,13 @@ class _Parser:
         return tok
 
     def expr(self):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError("expression nested too deeply", self.peek()[2])
         node = self.term()
         while self.peek()[0] in ("+", "-"):
             node = (_OPERATOR_NAMES[self.next()[0]], node, self.term())
+        self.depth -= 1
         return node
 
     def term(self):
@@ -154,10 +164,7 @@ class _Parser:
 def parse(text: str):
     """Parse to an AST of nested tuples."""
     parser = _Parser(text)
-    try:
-        node = parser.expr()
-    except RecursionError:  # each nesting level costs three frames
-        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
+    node = parser.expr()
     kind, rest, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input %r" % rest, pos)

@@ -41,7 +41,6 @@ import random
 import zlib
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from . import exact
@@ -826,10 +825,9 @@ def _chk_ex43(ctx):
 
 def _chk_ex61(ctx):
     top = min(5, ctx.max_n)
-    g_matrix = lru_cache(maxsize=None)(lambda n, beta: beta_matrix("G", n, beta))
     for beta in ctx.betas:
         for n in range(1, top + 1):
-            g = g_matrix(n, beta)
+            g = beta_matrix("G", n, beta)
             fam = beta_family(beta, 1, n)
             fam_beta = beta_family(beta, beta, n)
             fam1 = beta_family(beta + 1, 1, n)
@@ -855,7 +853,7 @@ def _chk_ex61(ctx):
             image_b = 1 + xdlog(lag.pow(beta))
             for n in range(1, top + 1):
                 yield ("transport trial=%d beta=%s n=%d" % (trial, beta, n),
-                       g_matrix(n, beta).apply(alpha_poly(a, n)),
+                       beta_matrix("G", n, beta).apply(alpha_poly(a, n)),
                        euler_numerator(image_b, lag, n).poly)
 
 

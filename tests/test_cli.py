@@ -59,7 +59,7 @@ def test_non_decimal_digit_is_a_parse_error(capsys, argv, position):
 
 
 def test_deeply_nested_series_is_a_parse_error(capsys):
-    # three parser frames a level: 400 levels overflow the recursion limit
+    # 400 levels pass the parser's fixed nesting limit
     code, out, err = run(capsys, "series", "(" * 400 + "x" + ")" * 400)
     assert (code, out) == (1, "")
     assert err.startswith("parse error: expression nested too deeply (at position")

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from riordan import exact
+from riordan import exact, fps
 from riordan.fps import (ConsistencyError, DomainError, Poly, RangeError, Series,
                          _convolve, _mismatch, _power, _powers, xdlog)
 from riordan.matrix import FinMatrix
@@ -28,7 +28,7 @@ def test_inverse_of_one_minus_x():
     assert Series.one(9) / Series.from_poly([1, -1], 9) == Series.geometric(9)
 
 
-def test_power_walks_never_multiply_by_the_unit(monkeypatch):
+def test_power_walks_match_plain_products(monkeypatch):
     f = Series.from_poly([2, 1, -1], 8)
     g = Series.from_poly([0, 1, 3], 8)
     # the walks from the unit, by plain products taken before counting starts
@@ -45,6 +45,7 @@ def test_power_walks_never_multiply_by_the_unit(monkeypatch):
             units.append((self, other))
         return real(self, other)
 
+    # square-and-multiply starts from the base, so it never multiplies by the unit
     monkeypatch.setattr(Series, "__mul__", counted)
     monkeypatch.setattr(Series, "__rmul__", counted)
     one = Series.one(8)
@@ -52,13 +53,14 @@ def test_power_walks_never_multiply_by_the_unit(monkeypatch):
     assert f ** 1 is f
     for k in range(10):
         assert (f ** k).coeffs == f_powers[k].coeffs
+    assert units == []
+    # a walk from the unit starts with a product that takes the scalar path;
     # g of order 8 walked from a unit of order 6: every entry at order 6
     assert [(p.order, p.coeffs) for p in _powers(Series.one(6), g, 10)] == [
         (p.order, p.coeffs) for p in g_powers]
-    assert _powers(Series.one(8), g, 2)[1] is g
-    assert _powers(Series.one(9), g, 2)[1] is g
+    assert _powers(Series.one(8), g, 2)[1] == g
+    assert _powers(Series.one(9), g, 2)[1] == g
     assert _powers(Series.one(8), g, 0) == []
-    assert units == []
 
 
 def test_square_of_one_plus_x():
@@ -467,6 +469,53 @@ def test_poly_mul_matches_schoolbook():
         got = Poly(a, ba) * Poly(b, bb)
         assert got.bound == ba + bb
         assert got.coeffs == tuple(schoolbook(a, b, ba + bb)), (len(a), len(b))
+
+
+def test_constant_operands_take_the_scalar_path(monkeypatch):
+    # an operand that is zero past its constant term is not packed
+    packed = []
+    real = fps._to_ints
+    monkeypatch.setattr(fps, "_to_ints", lambda coeffs: packed.append(coeffs) or real(coeffs))
+    rng = random.Random(7)
+    for a, b, n in kernel_cases(23):
+        if not (a and b):
+            continue
+        c = [a[0]] + [Q(0)] * rng.randint(0, 6)
+        for x, y in ((c, b), (b, c)):
+            assert _convolve(x, y, n) == schoolbook(x, y, n), (len(x), len(y), n)
+            nx, ny = n, n + rng.choice((0, 0, rng.randint(1, 6)))
+            got = Series(fit(x, nx), nx) * Series(fit(y, ny), ny)
+            assert (got.order, got.coeffs) == (n, tuple(schoolbook(x, y, n)))
+            got = Poly(x) * Poly(y)
+            assert (got.bound, got.coeffs) == (
+                len(x) + len(y) - 2, tuple(schoolbook(x, y, len(x) + len(y) - 2)))
+    assert packed == []
+
+
+def _kept(value):
+    """``value`` with its integer form kept, as its first product leaves it."""
+    if isinstance(value, FinMatrix):
+        value._rows(), value._cols()
+        assert None not in (value._row_form, value._col_form)
+    else:
+        fps._int_form(value, value.coeffs)
+        assert value._ints is not None
+    return value
+
+
+def test_kept_integer_forms_change_no_equality_or_repr():
+    rng = random.Random(8)
+    for order in (0, 1, 5, 12):
+        a, b = rand_series(rng, order), rand_series(rng, order)
+        for make, twin in ((lambda: Series(a.coeffs, order), lambda: Series(b.coeffs, order)),
+                           (lambda: Poly(a.coeffs, order + 2), lambda: Poly(b.coeffs)),
+                           (lambda: FinMatrix([a.coeffs, b.coeffs]),
+                            lambda: FinMatrix(list(zip(a.coeffs, b.coeffs, a.coeffs))))):
+            plain, kept = make(), _kept(make())
+            assert repr(kept) == repr(plain)
+            assert kept == plain and plain == kept and _mismatch(kept, plain) is None
+            assert _kept(make()) * _kept(twin()) == make() * twin()
+        assert _kept(Poly(a.coeffs, order + 2)) == Poly(a.coeffs)
 
 
 def test_convolve_matches_schoolbook_on_unpadded_lists():

@@ -310,6 +310,7 @@ def test_corrupted_t_poly_is_named_by_the_h_check(monkeypatch):
         return real(n, phi, beta_arg) + 1
 
     monkeypatch.setattr(genlagrange, "t_poly", off_by_one)
+    beta_matrix.cache_clear()  # so the memoized H(3, 1) does not hide the mutant
     wrong = genlagrange._band_closed(3, 3, Q(3))
     i, j = next((i, j) for i in range(4) for j in range(4)
                 if wrong.entry(i, j) != right.entry(i, j))
@@ -317,6 +318,21 @@ def test_corrupted_t_poly_is_named_by_the_h_check(monkeypatch):
            "got %s, want %s" % (i, j, right.entry(i, j), wrong.entry(i, j)))
     with pytest.raises(ConsistencyError, match="^%s$" % re.escape(msg)):
         beta_matrix("H", 3, 1)
+
+
+def test_memoized_beta_matrix_matches_fresh_builds_and_is_bounded():
+    beta_matrix.cache_clear()
+    betas = (*verify.DEFAULT_BETAS, Q(0), Q(5, 7), Q(-3, 2))
+    keys = [(kind, n, beta) for kind in "GHAT" for n in range(1, 9) for beta in betas]
+    for key in keys:
+        cached = beta_matrix(*key)
+        assert beta_matrix(*key) is cached
+        assert beta_matrix.__wrapped__(*key) == cached
+    info = beta_matrix.cache_info()
+    assert (info.maxsize, info.currsize) == (128, 128) < (len(keys), len(keys))
+    # the oldest keys were dropped, the newest kept
+    assert beta_matrix.__wrapped__(*keys[0]) == beta_matrix(*keys[0])
+    assert beta_matrix.cache_info().misses == len(keys) + 1
 
 
 _A = Series.from_poly([1, 1], 6)

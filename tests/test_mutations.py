@@ -9,8 +9,9 @@ name in every ``riordan`` module that holds it, since ``verify`` and
 a method is replaced on its class.  Each named check runs alone at
 ``MAX_N``, through ``fps._mismatch`` as ``run_suite`` compares, and
 stops at its first difference or at the first library error it raises.
-The matrix memos of ``numerator`` are emptied around each row, so no
-matrix built by a mutant outlives it and no clean one hides it.
+The matrix memos of ``numerator`` and ``genlagrange.beta_matrix`` are
+emptied around each row, so no matrix built by a mutant outlives it and
+no clean one hides it.
 
 Known mutants that no battery check can catch, so they have no row:
 
@@ -26,13 +27,13 @@ import sys
 import pytest
 
 import riordan
-from riordan import fps, numerator, verify
+from riordan import fps, genlagrange, numerator, verify
 from riordan.fps import ConsistencyError, DomainError, Poly, RangeError, Series
 from riordan.matrix import FinMatrix
 
 MAX_N = 4
 MEMOS = (numerator.core_matrix, numerator.exp_matrix, numerator.tilde_matrix,
-         numerator.W_matrix)
+         numerator.W_matrix, genlagrange.beta_matrix)
 
 
 def _bump(value):

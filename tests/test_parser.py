@@ -55,6 +55,26 @@ def test_nested_expressions():
     assert got == Series.x(6) * inner + 1
 
 
+def test_nesting_limit_is_a_function_of_the_text():
+    deep = "(" * 400 + "x" + ")" * 400
+
+    def parse_from(frames):
+        """The error parsing ``deep`` from ``frames`` frames further down."""
+        if frames:
+            return parse_from(frames - 1)
+        with pytest.raises(ParseError) as err:
+            parse(deep)
+        return str(err.value), err.value.position
+
+    want = ("expression nested too deeply (at position 200)", 200)
+    assert parse_from(0) == parse_from(100) == want
+    # 200 levels, the top one included, parse and evaluate; function calls count too
+    assert parse_series("(" * 199 + "x" + ")" * 199, 2) == Series.x(2)
+    assert parse_series("rev(" * 199 + "x" + ")" * 199, 2) == Series.x(2)
+    with pytest.raises(ParseError, match=r"nested too deeply \(at position 800\)$"):
+        parse("rev(" * 200 + "x" + ")" * 200)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse("1 + ")
