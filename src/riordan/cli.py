@@ -257,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every library error, and running out of memory,
+    ends in one line on stderr and exit 1 (2 for a usage error)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -272,6 +274,9 @@ def main(argv=None) -> int:
         return 1
     except (DomainError, RangeError) as err:
         print("error: %s" % err, file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -123,6 +123,7 @@ the same comparison.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import factorial, isqrt, lcm
 from operator import add, mul
@@ -210,11 +211,16 @@ def _q(value) -> Fraction:
 
 def _count(what: str, n, least: int = 0) -> int:
     """``n`` itself when it is an int >= ``least`` (0 or 1); otherwise a
-    DomainError naming ``what``.  The one check of an order, a size, an
-    index or a count that arrives from a caller."""
+    DomainError naming ``what``, or a RangeError for an int above
+    ``sys.maxsize``, a size no list on this machine can reach.  The one
+    check of an order, a size, an index or a count that arrives from a
+    caller."""
     if not isinstance(n, int) or n < least:
         raise DomainError("%s must be a %s integer, got %r"
                           % (what, ("nonnegative", "positive")[least], n))
+    if n > sys.maxsize:
+        raise RangeError("%s %d is above sys.maxsize, the largest size this machine can hold"
+                         % (what, n))
     return n
 
 

@@ -5,8 +5,10 @@ from math import comb, factorial
 
 import pytest
 
+import reference as ref
 from riordan import exact
-from riordan.arrays import EXPONENTIAL, SQUARE, RiordanArray, lagrange_pair, table_row
+from riordan.arrays import (EXPONENTIAL, ORDINARY, SQUARE, RiordanArray, lagrange_pair,
+                            table_row)
 from riordan.fps import DomainError, Poly, RangeError, Series
 from riordan.genlagrange import gen_binomial_series
 from riordan.matrix import FinMatrix
@@ -17,19 +19,9 @@ def pascal(order):
     return RiordanArray(geo, Series.x(order) / Series.from_poly([1, -1], order))
 
 
-def rand_series(rng, order, first=None):
-    coeffs = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order + 1)]
-    if first is not None:
-        coeffs[0] = Q(first)
-    return Series(coeffs, order)
-
-
-def rand_proper(rng, order):
-    f = rand_series(rng, order, first=rng.choice([1, -1, 2]))
-    g = list(rand_series(rng, order).coeffs)
-    g[0] = Q(0)
-    g[1] = Q(rng.choice([1, -1, 2]), rng.randint(1, 2))
-    return RiordanArray(f, Series(g, order))
+def rand_proper(rng, order, flavor=ORDINARY):
+    f, g = ref.draw_proper(rng, order)
+    return RiordanArray(Series(f), Series(g), flavor)
 
 
 def test_pascal_row():
@@ -65,8 +57,8 @@ def test_flavor_bridge():
 
 def test_square_bridge():
     rng = random.Random(4)
-    b = rand_series(rng, 8, first=2)
-    a = rand_series(rng, 8, first=1)
+    b = Series(ref.draw(rng, "small", 9, first=2))
+    a = Series(ref.draw(rng, "small", 9, first=1))
     square = RiordanArray(b, a, SQUARE)
     tri = RiordanArray(b, a.mul_x().truncate(8))
     for n in range(9):
@@ -92,6 +84,14 @@ def test_product_with_identity_and_inverse():
     round_trip = arr * inv
     assert round_trip.f == Series.one(8)
     assert round_trip.g == Series.x(8)
+    # the inverse on both sides at seeded orders 1..16, in both triangular flavors
+    for flavor in (ORDINARY, EXPONENTIAL):
+        for order in range(1, 17):
+            arr = rand_proper(rng, order, flavor)
+            one = RiordanArray.identity(order, flavor)
+            inv = arr.inverse()
+            for prod in (arr * inv, inv * arr):
+                assert (prod.f, prod.g) == (one.f, one.g), (flavor, order)
 
 
 def test_group_associativity_random():
@@ -101,6 +101,11 @@ def test_group_associativity_random():
         lhs = (a * b) * c
         rhs = a * (b * c)
         assert lhs.f == rhs.f and lhs.g == rhs.g
+    for flavor in (ORDINARY, EXPONENTIAL):
+        for order in range(1, 17):
+            a, b, c = (rand_proper(rng, order, flavor) for _ in range(3))
+            lhs, rhs = (a * b) * c, a * (b * c)
+            assert (lhs.f, lhs.g) == (rhs.f, rhs.g), (flavor, order)
 
 
 def test_mutually_inverse_substitutions():
@@ -216,6 +221,12 @@ def test_lagrange_pair_basics():
     assert lagrange_pair(Series.from_poly([1, 1], 8)) == Series.geometric(8)
     assert lagrange_pair(Series.from_poly([1, -1], 8)) == (
         Series.one(8) / Series.from_poly([1, 1], 8))
+    # (1, x/a)^{-1} = (1, x*b) with b = lagrange_pair(a), at seeded orders 1..16
+    rng = random.Random(19)
+    for order in range(1, 17):
+        a = Series(ref.draw(rng, "small", order + 1, first=1))
+        inv = RiordanArray(Series.one(order + 1), a.inverse().mul_x()).inverse()
+        assert lagrange_pair(a) == inv.g.div_x(), order
 
 
 def test_lagrange_pair_exponential():
@@ -230,8 +241,8 @@ def test_lagrange_pair_exponential():
 
 def test_table_row_v_zero():
     rng = random.Random(21)
-    b = rand_series(rng, 8, first=1)
-    a = rand_series(rng, 8, first=1)
+    b = Series(ref.draw(rng, "small", 9, first=1))
+    a = Series(ref.draw(rng, "small", 9, first=1))
     got = table_row(b, a, Q(1, 2), 0, 3, 8)
     assert got == b * a.pow(Q(3, 2))
 
@@ -249,8 +260,8 @@ def test_table_row_rejects_non_integer_v_and_k():
 def test_table_row_matches_diagonal_re_reading():
     # entry n of the once-re-read row k is entry n of original row k+n
     rng = random.Random(25)
-    b = rand_series(rng, 10, first=2)
-    a = rand_series(rng, 10, first=1)
+    b = Series(ref.draw(rng, "small", 11, first=2))
+    a = Series(ref.draw(rng, "small", 11, first=1))
     phi = Q(1)
     for k in range(-3, 4):
         row = table_row(b, a, phi, 1, k, 7)
@@ -261,8 +272,8 @@ def test_table_row_matches_diagonal_re_reading():
 def test_table_row_round_trip():
     rng = random.Random(29)
     from riordan.genlagrange import gen_lagrange_series
-    b = rand_series(rng, 10, first=1)
-    a = rand_series(rng, 10, first=1)
+    b = Series(ref.draw(rng, "small", 11, first=1))
+    a = Series(ref.draw(rng, "small", 11, first=1))
     phi = Q(2)
     for v in (1, -1):
         image_b = table_row(b, a, phi, v, 0, 8)

@@ -77,6 +77,22 @@ def test_series_domain_error(capsys):
     assert "error" in err
 
 
+def test_order_above_sys_maxsize_is_one_line(capsys):
+    code, out, err = run(capsys, "series", "x", "--order", "99999999999999999999999")
+    assert (code, out) == (1, "")
+    assert err == ("error: order 99999999999999999999999 is above sys.maxsize, "
+                   "the largest size this machine can hold\n")
+
+
+def test_out_of_memory_is_one_line(capsys, monkeypatch):
+    # the allocation is patched to fail, so no memory is asked for
+    def no_memory(expr, order):
+        raise MemoryError
+    monkeypatch.setattr("riordan.cli.parse_series", no_memory)
+    assert run(capsys, "series", "1/(1-x)", "--order", "1000000000") == (
+        1, "", "error: out of memory\n")
+
+
 def test_matrix_s3(capsys):
     code, out, _ = run(capsys, "matrix", "S", "--n", "3", "--format", "csv")
     assert code == 0

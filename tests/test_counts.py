@@ -1,70 +1,70 @@
-"""How many comparisons each battery check makes, pinned.
+"""What each battery check compares, pinned in ``REPRODUCTION.json``.
 
-A loop bound one short leaves every verdict green, so each check's
-number of ``(label, got, want)`` comparisons at ``max_n`` 4 and 8, with
-the default betas and seed, is held against this table.  A deliberate
-change of scope updates the table and says why.
+A loop bound one short leaves every verdict green, so for each check at
+``max_n`` 4, 8 and 12, with the default betas and seed, the file holds
+the number of ``(label, got, want)`` comparisons and a sha256 over the
+lines ``repr(label) repr(want)``, one per comparison, in order: the
+count pins what the check covers, the digest its seeded inputs and the
+values it compares against.  Both come from one pass over the check.  A
+deliberate change of scope or of inputs rewrites the file with
+
+    PYTHONPATH=src python tests/test_counts.py
+
+and says why.
 """
+
+import hashlib
+import json
+import os
+from functools import lru_cache
 
 import pytest
 
 from riordan import verify
 
-COUNTS = {  # name: (comparisons at max_n 4, at max_n 8)
-    "fixtures": (109, 109),
-    "thm2.1": (4, 8),
-    "thm2.2": (100, 140),
-    "thm2.3": (100, 180),
-    "thm2.4": (28, 88),
-    "thm2.5": (44, 88),
-    "thm3.1": (4, 8),
-    "thm3.2": (200, 280),
-    "thm4.1": (84, 128),
-    "thm4.2": (4, 8),
-    "thm4.3": (4, 8),
-    "thm4.4": (13, 13),
-    "thm4.5": (40, 80),
-    "thm6.1": (32, 64),
-    "thm6.2": (32, 64),
-    "thm6.3": (84, 296),
-    "thm7.1": (32, 64),
-    "thm7.2": (64, 128),
-    "thm8.1": (3, 7),
-    "thm8.2": (16, 32),
-    "thm8.3": (33, 97),
-    "thm9.1": (24, 56),
-    "thm9.2": (32, 64),
-    "thm9.3": (70, 156),
-    "thm9.4": (24, 56),
-    "thm9.5": (64, 128),
-    "ex2.1": (16, 20),
-    "ex2.2": (14, 14),
-    "ex2.3": (19, 19),
-    "ex3.1": (2392, 2395),
-    "ex3.2": (17, 19),
-    "ex4.1": (13, 19),
-    "ex4.2": (12, 18),
-    "ex4.3": (12, 18),
-    "ex6.1": (192, 240),
-    "ex7.1": (76, 108),
-    "ex8.1": (3, 3),
-    "eq1": (261, 261),
-    "eq2": (32, 64),
-    "eq3": (32, 64),
-    "section5": (1261, 1261),
-    "w-amazing": (152, 252),
-    "col-sums": (64, 96),
-}
+PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "REPRODUCTION.json")
+MAX_NS = (4, 8, 12)
+
+
+def pin(name, max_n):
+    """The comparison count and the digest of check ``name`` at ``max_n``."""
+    ctx = verify._Ctx(max_n, verify.DEFAULT_BETAS, verify.DEFAULT_SEED)
+    digest, count = hashlib.sha256(), 0
+    for label, _, want in dict(verify._CHECKS)[name](ctx):
+        digest.update(("%r %r\n" % (label, want)).encode())
+        count += 1
+    return {"comparisons": count, "sha256": digest.hexdigest()}
+
+
+def pins():
+    """Every check's pins at every max_n in MAX_NS, in battery order."""
+    return {"betas": [str(beta) for beta in verify.DEFAULT_BETAS],
+            "seed": verify.DEFAULT_SEED,
+            "checks": {name: {str(max_n): pin(name, max_n) for max_n in MAX_NS}
+                       for name in verify.CHECK_NAMES}}
+
+
+@lru_cache(maxsize=None)
+def _committed():
+    with open(PATH) as fh:
+        return json.load(fh)
 
 
 def test_every_check_is_pinned_in_battery_order():
-    assert tuple(COUNTS) == verify.CHECK_NAMES
+    committed = _committed()
+    assert tuple(committed["checks"]) == verify.CHECK_NAMES
+    assert (committed["betas"], committed["seed"]) == (
+        [str(beta) for beta in verify.DEFAULT_BETAS], verify.DEFAULT_SEED)
 
 
-@pytest.mark.parametrize("name", list(COUNTS))
+@pytest.mark.parametrize("name", verify.CHECK_NAMES)
 def test_comparison_count(name):
-    check = dict(verify._CHECKS)[name]
-    got = tuple(sum(1 for _ in check(verify._Ctx(max_n, verify.DEFAULT_BETAS,
-                                                 verify.DEFAULT_SEED)))
-                for max_n in (4, 8))
-    assert got == COUNTS[name]
+    got = {str(max_n): pin(name, max_n) for max_n in MAX_NS}
+    assert got == _committed()["checks"][name]
+
+
+if __name__ == "__main__":
+    with open(PATH, "w") as fh:
+        json.dump(pins(), fh, indent=1)
+        fh.write("\n")

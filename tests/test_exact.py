@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+import reference as ref
 from riordan import exact
 from riordan.fps import DomainError, Poly
 
@@ -65,48 +66,12 @@ def test_eulerian_polynomials():
         assert exact.eulerian_poly(n).eval(1) == factorial(n)
 
 
-def _eulerian_by_recurrence(n):
-    """A_(k+1) = x(1-x) A_k' + (k+1) x A_k, from A_0 = 1, on whole Polys."""
-    a = Poly.one()
-    x = Poly([0, 1])
-    one_minus_x = Poly([1, -1])
-    for k in range(n):
-        deriv = Poly([j * c for j, c in enumerate(a.coeffs)][1:] or [0])
-        a = x * one_minus_x * deriv + (k + 1) * x * a
-    return a.with_bound(max(n, a.degree()))
-
-
-def test_eulerian_table_out_of_order():
-    for n in [12, 3, 20, 0, 7, 1, 19, 12, 2, 15, 4, 5, 6, 8, 9, 10, 11, 13,
-              14, 16, 17, 18]:
-        got = exact.eulerian_poly(n)
-        want = _eulerian_by_recurrence(n)
-        assert got == want and got.bound == want.bound == n
-
-
 def test_eulerian_result_is_immutable():
     p = exact.eulerian_poly(5)
     with pytest.raises(TypeError):
         p.coeffs[1] = Q(100)
-    assert exact.eulerian_poly(5) == _eulerian_by_recurrence(5)
+    assert exact.eulerian_poly(5) == Poly(ref.eulerian(5))
     assert len(exact.eulerian_poly(5).coeffs) == 6
-
-
-def ref_product(phi, n, step):
-    """phi (phi + step) ... (phi + (n-1) step) by n Fraction products."""
-    out = Q(1)
-    for i in range(n):
-        out *= phi + i * step
-    return out
-
-
-def test_product_forms_match_fraction_loops():
-    rng = random.Random(13)
-    dens = [1, 2, 3, 7, 10, 2 ** 61 - 1]
-    for _ in range(60):
-        phi = Q(rng.randint(-40, 40), rng.choice(dens))
-        for k in range(0, 16):
-            assert exact.binom(phi, k) == ref_product(phi, k, -1) / factorial(k), (phi, k)
 
 
 def test_bad_counts_are_domain_errors():
@@ -125,5 +90,5 @@ def test_poly_products_evaluate_to_scalar_products():
         c = Q(rng.randint(-9, 9), rng.randint(1, 4))
         x0 = Q(rng.randint(-9, 9), rng.randint(1, 4))
         for n in range(0, 8):
-            assert exact.falling_from(c, n).eval(x0) == ref_product(x0 + c, n, -1)
-            assert exact.rising_from(c, n).eval(x0) == ref_product(x0 + c, n, 1)
+            assert exact.falling_from(c, n).eval(x0) == ref.step_product(x0 + c, n, -1)
+            assert exact.rising_from(c, n).eval(x0) == ref.step_product(x0 + c, n, 1)

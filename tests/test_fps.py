@@ -4,17 +4,11 @@ from math import factorial
 
 import pytest
 
+import reference as ref
 from riordan import exact, fps
 from riordan.fps import (ConsistencyError, DomainError, Poly, RangeError, Series,
                          _convolve, _mismatch, _power, _powers, xdlog)
 from riordan.matrix import FinMatrix
-
-
-def rand_series(rng, order, first=None):
-    coeffs = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order + 1)]
-    if first is not None:
-        coeffs[0] = Q(first)
-    return Series(coeffs, order)
 
 
 # -- ring operations ----------------------------------------------------------
@@ -91,7 +85,7 @@ def test_compose_geometric_with_mobius():
 
 def test_compose_with_x_is_identity():
     rng = random.Random(3)
-    f = rand_series(rng, 8)
+    f = Series(ref.draw(rng, "small", 9))
     assert f.compose(Series.x(8)) == f
 
 
@@ -129,49 +123,11 @@ def test_reversion_round_trip_random():
     rng = random.Random(17)
     for _ in range(30):
         coeffs = [Q(0), Q(rng.choice([1, -1, 2, -2]), rng.randint(1, 2))]
-        coeffs += [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(9)]
+        coeffs += ref.draw(rng, "small", 9)
         g = Series(coeffs, 10)
         r = g.reversion()
         assert g.compose(r) == Series.x(10)
         assert r.compose(g) == Series.x(10)
-
-
-def compose_horner(f, g):
-    """Reference composition f(g): Horner's rule in g, one full product
-    per coefficient of f (the loop the baby-step/giant-step one replaced)."""
-    n = min(f.order, g.order)
-    g = g.truncate(n)
-    acc = Series.const(f.coeffs[n], n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * g + f.coeffs[k]
-    return acc
-
-
-def reversion_by_coefficients(g):
-    """Reference reversion: solve g(h) = x for h one coefficient at a time,
-    [x^k] g(h) = g1*h_k + (terms in h_1..h_(k-1)) = 0 for k >= 2.  It
-    composes by :func:`compose_horner`, so it shares no code with
-    ``Series.compose``."""
-    n, g1 = g.order, g.coeffs[1]
-    h = [Q(0), 1 / g1]
-    for k in range(2, n + 1):
-        value = compose_horner(g.truncate(k), Series(h + [Q(0)], k)).coeffs[k]
-        h.append(-value / g1)
-    return Series(h, n)
-
-
-def test_reversion_matches_coefficient_solver():
-    rng = random.Random(41)
-    for order in range(1, 41):
-        linear = Q(rng.choice([1, -1, 2, -3]), rng.randint(1, 3))
-        dense = [Q(0), linear] + [Q(rng.randint(-3, 3), rng.randint(1, 3))
-                                  for _ in range(order - 1)]
-        sparse = [Q(0), Q(1)] + [Q(rng.choice([-1, 1]), rng.randint(1, 2))
-                                 if rng.random() < 0.2 else Q(0)
-                                 for _ in range(order - 1)]
-        for coeffs in (dense, sparse):
-            g = Series(coeffs, order)
-            assert g.reversion().coeffs == reversion_by_coefficients(g).coeffs
 
 
 def test_reversion_rejects_a_corrupted_lagrange_route(monkeypatch):
@@ -205,7 +161,7 @@ def test_lagrange_coefficient_identity():
     # [x^n] b^m = m/(m+n) [x^n] a^(m+n)
     rng = random.Random(23)
     for _ in range(10):
-        a = rand_series(rng, 8, first=1)
+        a = Series(ref.draw(rng, "small", 9, first=1))
         b = a.inverse().mul_x().reversion().div_x()
         for m in range(1, 9):
             bm = b.pow(m)
@@ -219,7 +175,7 @@ def test_lagrange_pair_built_from_coefficients():
     # substitution inverse of x/a
     rng = random.Random(27)
     for _ in range(10):
-        a = rand_series(rng, 9, first=1)
+        a = Series(ref.draw(rng, "small", 10, first=1))
         xb = Series([Q(0)] + [Q(1, 1 + n) * a.pow(1 + n).coeffs[n]
                               for n in range(8)], 8)
         inner = (a.inverse().mul_x()).truncate(8)
@@ -247,7 +203,7 @@ def test_log_of_one_plus_x():
 def test_exp_log_round_trip_random():
     rng = random.Random(5)
     for _ in range(10):
-        a = rand_series(rng, 10, first=1)
+        a = Series(ref.draw(rng, "small", 11, first=1))
         assert a.log().exp() == a
 
 
@@ -266,7 +222,7 @@ def test_pow_half_of_one_minus_four_x():
 
 def test_pow_zero_and_integer_agreement():
     rng = random.Random(31)
-    a = rand_series(rng, 8, first=1)
+    a = Series(ref.draw(rng, "small", 9, first=1))
     assert a.pow(0) == Series.one(8)
     assert a.pow(3) == a * a * a
     assert a.pow(-2) == Series.one(8) / (a * a)
@@ -276,7 +232,7 @@ def test_pow_zero_and_integer_agreement():
 def test_pow_additivity_random_rational():
     rng = random.Random(37)
     for _ in range(10):
-        a = rand_series(rng, 10, first=1)
+        a = Series(ref.draw(rng, "small", 11, first=1))
         p = Q(rng.randint(-6, 6), rng.randint(1, 4))
         q = Q(rng.randint(-6, 6), rng.randint(1, 4))
         assert a.pow(p) * a.pow(q) == a.pow(p + q)
@@ -391,104 +347,27 @@ def test_mismatch_names_the_first_difference():
     assert _mismatch(Q(1, 2), 3) == "got 1/2, want 3"
 
 
-# -- product kernel against the schoolbook reference ------------------------------
-
-def schoolbook(a, b, n):
-    """Coefficients 0..n of the product of two coefficient lists."""
-    out = [Q(0)] * (n + 1)
-    for i, ci in enumerate(a[: n + 1]):
-        for j, cj in enumerate(b[: n + 1 - i]):
-            out[i + j] += ci * cj
-    return out
-
-
-PRIMES = [p for p in range(2, 400) if all(p % d for d in range(2, p))]
-BIG = 2 ** 200
-KINDS = ("small", "zero", "sparse", "alternating", "big", "extreme", "coprime")
-
-
-def kernel_coeffs(rng, length, kind):
-    """Operands that stress the kernel: all-zero, sparse, sign changes
-    between neighbours (the unpacking borrows after every negative slot),
-    numerators near 2^200, all coefficients at the same extreme (a product
-    coefficient then reaches the slot bound) and pairwise-coprime
-    denominators (the lcm is as large as it gets)."""
-    if kind == "zero":
-        return [Q(0)] * length
-    if kind == "sparse":
-        return [Q(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.1 else Q(0)
-                for _ in range(length)]
-    if kind == "alternating":
-        return [Q((-1) ** k * rng.randint(1, 2 ** 40), rng.randint(1, 5))
-                for k in range(length)]
-    if kind == "big":
-        return [Q(rng.choice((-1, 1)) * (BIG - rng.randint(0, 2 ** 20)), rng.randint(1, 7))
-                for _ in range(length)]
-    if kind == "extreme":
-        return [Q(rng.choice((-1, 1)) * BIG)] * length
-    if kind == "coprime":
-        return [Q(rng.randint(-50, 50), d) for d in rng.sample(PRIMES, length)]
-    return [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(length)]
-
-
-def kernel_cases(seed, count=40):
-    """(a, b, n) with lengths 0..70, equal or not, and n + 1 below, at or
-    above the length of the full product."""
-    rng = random.Random(seed)
-    for case in range(count):
-        la = rng.randint(0, 70) if case % 4 else rng.randint(0, 2)
-        lb = la if case % 2 == 0 else rng.randint(0, 70)
-        a = kernel_coeffs(rng, la, rng.choice(KINDS))
-        b = kernel_coeffs(rng, lb, rng.choice(KINDS))
-        full = max(la + lb - 1, 1)
-        n = max(full - 1 + (-rng.randint(1, full), 0, rng.randint(1, 5))[case % 3], 0)
-        yield a, b, n
-
-
-def fit(coeffs, order):
-    """``coeffs`` cut or padded with zeros to exactly order + 1 entries."""
-    return (coeffs + [Q(0)] * (order + 1))[: order + 1]
-
-
-def test_series_mul_matches_schoolbook():
-    rng = random.Random(5)
-    for a, b, n in kernel_cases(21):
-        na, nb = n, n + rng.choice((0, 0, rng.randint(1, 6)))
-        if rng.random() < 0.5:
-            na, nb = nb, na
-        got = Series(fit(a, na), na) * Series(fit(b, nb), nb)
-        assert got.order == n
-        assert got.coeffs == tuple(schoolbook(a, b, n)), (len(a), len(b), n)
-
-
-def test_poly_mul_matches_schoolbook():
-    rng = random.Random(6)
-    for a, b, _ in kernel_cases(22):
-        ba = max(len(a) - 1, 0) + rng.choice((0, 0, 3))
-        bb = max(len(b) - 1, 0) + rng.choice((0, 0, 2))
-        got = Poly(a, ba) * Poly(b, bb)
-        assert got.bound == ba + bb
-        assert got.coeffs == tuple(schoolbook(a, b, ba + bb)), (len(a), len(b))
-
-
 def test_constant_operands_take_the_scalar_path(monkeypatch):
     # an operand that is zero past its constant term is not packed
     packed = []
     real = fps._to_ints
     monkeypatch.setattr(fps, "_to_ints", lambda coeffs: packed.append(coeffs) or real(coeffs))
     rng = random.Random(7)
-    for a, b, n in kernel_cases(23):
-        if not (a and b):
-            continue
-        c = [a[0]] + [Q(0)] * rng.randint(0, 6)
-        for x, y in ((c, b), (b, c)):
-            assert _convolve(x, y, n) == schoolbook(x, y, n), (len(x), len(y), n)
-            nx, ny = n, n + rng.choice((0, 0, rng.randint(1, 6)))
-            got = Series(fit(x, nx), nx) * Series(fit(y, ny), ny)
-            assert (got.order, got.coeffs) == (n, tuple(schoolbook(x, y, n)))
-            got = Poly(x) * Poly(y)
-            assert (got.bound, got.coeffs) == (
-                len(x) + len(y) - 2, tuple(schoolbook(x, y, len(x) + len(y) - 2)))
+    for kind in ref.KINDS:
+        for length in (1, 2, 5, 19, 44, 70):
+            b = ref.draw(rng, kind, length)
+            c = ref.draw(rng, rng.choice(ref.KINDS), 1) + [Q(0)] * rng.randint(0, 6)
+            n = rng.randint(0, length + len(c))
+            for x, y in ((c, b), (b, c)):
+                want = ref.product(x, y, n)
+                assert _convolve(x, y, n) == want, (len(x), len(y), n)
+                nx, ny = n, n + rng.choice((0, 0, rng.randint(1, 6)))
+                got = (Series((x + [Q(0)] * (nx + 1))[: nx + 1], nx)
+                       * Series((y + [Q(0)] * (ny + 1))[: ny + 1], ny))
+                assert (got.order, got.coeffs) == (n, tuple(want))
+                got = Poly(x) * Poly(y)
+                assert (got.bound, got.coeffs) == (
+                    len(x) + len(y) - 2, tuple(ref.product(x, y, len(x) + len(y) - 2)))
     assert packed == []
 
 
@@ -506,7 +385,7 @@ def _kept(value):
 def test_kept_integer_forms_change_no_equality_or_repr():
     rng = random.Random(8)
     for order in (0, 1, 5, 12):
-        a, b = rand_series(rng, order), rand_series(rng, order)
+        a, b = (Series(ref.draw(rng, "small", order + 1)) for _ in range(2))
         for make, twin in ((lambda: Series(a.coeffs, order), lambda: Series(b.coeffs, order)),
                            (lambda: Poly(a.coeffs, order + 2), lambda: Poly(b.coeffs)),
                            (lambda: FinMatrix([a.coeffs, b.coeffs]),
@@ -516,118 +395,3 @@ def test_kept_integer_forms_change_no_equality_or_repr():
             assert kept == plain and plain == kept and _mismatch(kept, plain) is None
             assert _kept(make()) * _kept(twin()) == make() * twin()
         assert _kept(Poly(a.coeffs, order + 2)) == Poly(a.coeffs)
-
-
-def test_convolve_matches_schoolbook_on_unpadded_lists():
-    # the kernel pads with zeros when n reaches past the product
-    for a, b, n in kernel_cases(24):
-        if a and b:
-            assert _convolve(a, b, n) == schoolbook(a, b, n), (len(a), len(b), n)
-
-
-# -- inverse, exp and fractional pow against the Fraction-loop references ----------
-
-def ref_inverse(c):
-    """1/c by the Fraction loop the integer recurrence replaced."""
-    out = [1 / c[0]]
-    for k in range(1, len(c)):
-        acc = Q(0)
-        for j in range(1, k + 1):
-            if c[j] != 0:
-                acc += c[j] * out[k - j]
-        out.append(-acc / c[0])
-    return out
-
-
-def ref_exp(c):
-    """exp(c) for c[0] = 0 by the Fraction loop the integer recurrence replaced."""
-    out = [Q(1)]
-    for k in range(1, len(c)):
-        acc = Q(0)
-        for j in range(1, k + 1):
-            if c[j] != 0:
-                acc += j * c[j] * out[k - j]
-        out.append(acc / k)
-    return out
-
-
-def ref_pow(c, e):
-    """c^e for c[0] = 1 through (log c * e).exp(), on the references above."""
-    n = len(c) - 1
-    if n == 0:
-        return [Q(1)]
-    quotient = schoolbook([k * c[k] for k in range(1, n + 1)], ref_inverse(c[:n]), n - 1)
-    log = [Q(0)] + [quotient[k - 1] / k for k in range(1, n + 1)]
-    return ref_exp([e * v for v in log])
-
-
-SERIES_KINDS = ("small", "int", "zero", "sparse", "coprime")
-
-
-def series_tail(rng, length, kind):
-    """Coefficients 1.. of a test series: battery-style, integer-only,
-    all-zero, sparse, or over pairwise-coprime denominators near 2^60
-    (distinct prime powers)."""
-    if kind == "int":
-        return [Q(rng.randint(-9, 9)) for _ in range(length)]
-    if kind == "coprime":
-        return [Q(rng.randint(-2 ** 60, 2 ** 60), p ** (60 // p.bit_length()))
-                for p in rng.sample(PRIMES, length)]
-    return kernel_coeffs(rng, length, kind)
-
-
-def series_cases(seed, first):
-    """(kind, coefficient list) at orders 0..40, every kind at every order
-    (coprime only up to order 10: its cost follows the lcm), with c[0]
-    drawn from ``first``."""
-    rng = random.Random(seed)
-    for order in range(41):
-        for kind in SERIES_KINDS:
-            if kind != "coprime" or order <= 10:
-                yield kind, [Q(rng.choice(first))] + series_tail(rng, order, kind)
-
-
-def test_inverse_matches_fraction_loop():
-    for kind, c in series_cases(31, (1, -1, 2, -3, Q(-3, 2), Q(5, 7), Q(1, 2 ** 61 - 1))):
-        assert Series(c).inverse().coeffs == tuple(ref_inverse(c)), (kind, len(c), c[0])
-
-
-def test_exp_matches_fraction_loop():
-    for kind, c in series_cases(32, (0,)):
-        assert Series(c).exp().coeffs == tuple(ref_exp(c)), (kind, len(c))
-
-
-@pytest.mark.parametrize("e", [Q(1, 2), Q(-1, 3), Q(5, 2), Q(3, 7)], ids=str)
-def test_fractional_pow_matches_log_exp(e):
-    for kind, c in series_cases(33, (1,)):
-        if kind != "coprime" or len(c) <= 7:
-            assert Series(c).pow(e).coeffs == tuple(ref_pow(c, e)), (kind, len(c))
-
-
-# -- baby-step/giant-step composition against Horner's rule ------------------------
-
-def compose_cases(seed):
-    """(f, g) at orders 0..70 of every kind in SERIES_KINDS (coprime only
-    up to order 12), plus f = 0, g = x, a sparse g and pairs whose orders
-    differ by 1..6 either way."""
-    rng = random.Random(seed)
-    for order in range(71):
-        for kind in SERIES_KINDS:
-            if kind != "coprime" or order <= 12:
-                yield (Series(series_tail(rng, order + 1, kind)),
-                       Series([Q(0)] + series_tail(rng, order, kind)))
-        f = Series(series_tail(rng, order + 1, "small"))
-        yield Series.zero(order), Series([Q(0)] + series_tail(rng, order, "small"))
-        yield f, Series.x(order) if order else Series.zero(0)
-        yield f, Series([Q(0)] + series_tail(rng, order, "sparse"))
-        longer = order + rng.randint(1, 6)
-        g = Series([Q(0)] + series_tail(rng, longer, rng.choice(("small", "int"))))
-        yield f, g
-        yield Series(series_tail(rng, longer + 1, "small")), g.truncate(order)
-
-
-def test_compose_matches_horner():
-    for f, g in compose_cases(51):
-        got, want = f.compose(g), compose_horner(f, g)
-        assert got.order == want.order == min(f.order, g.order)
-        assert got.coeffs == want.coeffs, (f.order, g.order)

@@ -1,11 +1,11 @@
 import random
 import re
 from fractions import Fraction as Q
-from math import comb, factorial
 
 import pytest
 
-from riordan import exact, genlagrange, verify
+import reference as ref
+from riordan import genlagrange, verify
 from riordan.arrays import table_row
 from riordan.fps import ConsistencyError, DomainError, PoleError, Poly, Series
 from riordan.genlagrange import (beta_alpha_closed, beta_matrix,
@@ -41,12 +41,25 @@ def test_gen_binomial_pole_rejected():
         gen_binomial_series(Q(-1, 2), 1, 4)
     with pytest.raises(PoleError):
         gen_binomial_series(1, 0, 2)
+    # phi = -beta*pole puts phi + beta*n at zero for n = pole only: every
+    # order from the pole up raises PoleError naming it, and one step off
+    # (the order below, or phi moved by beta/7) equals the product formula
+    rng = random.Random(29)
+    for _ in range(40):
+        beta = Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        pole = rng.randint(1, 12)
+        at_pole = -beta * pole
+        for order in (pole, pole + rng.randint(1, 4)):
+            with pytest.raises(PoleError, match=r"^phi \+ beta\*n vanishes at n = %d$" % pole):
+                gen_binomial_series(beta, at_pole, order)
+        for phi, order in ((at_pole, pole - 1), (at_pole + beta / 7, pole + 3)):
+            got = gen_binomial_series(beta, phi, order)
+            assert got.coeffs == tuple(ref.binomial_series(beta, phi, order)), (beta, phi)
 
 
 def test_gen_lagrange_series_beta_zero_is_identity():
     rng = random.Random(3)
-    coeffs = [Q(1)] + [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(10)]
-    a = Series(coeffs, 10)
+    a = Series([Q(1)] + ref.draw(rng, "small", 10), 10)
     assert gen_lagrange_series(a, 0, 8) == a.truncate(8)
 
 
@@ -217,89 +230,6 @@ def test_resolvent_sum_identity():
         for n in range(7):
             acc = acc + q_series(lag, n, 6) * us[n].eval(phi)
         assert acc == Series.one(6) / Series.from_poly([1, -phi], 6)
-
-
-# The closed forms as they are printed: G, H, A and T column by column,
-# each column of H, A and T a sum over m of one t_poly term, and alpha and
-# phi as coefficient lists.  They are the references for the band product
-# and the t_poly rows, and build their terms from exact.binom, not t_poly.
-
-_ONE_MINUS_X = Poly([1, -1])
-
-
-def _t(n, phi, beta_arg):
-    return Poly([exact.binom(phi, m) * exact.binom(beta_arg, n - m)
-                 for m in range(n + 1)], n)
-
-
-def _ref_g(n, beta):
-    size = n + 1
-    nb = n * beta
-    cols = []
-    for p in range(size):
-        cols.append(Poly([exact.binom(p - nb, m) * exact.binom(nb + n - p, n - m)
-                          for m in range(size)], n))
-    return FinMatrix.from_columns(cols, size)
-
-
-def _ref_h(n, beta):
-    size = n + 1
-    nb = n * beta
-    cols = []
-    for p in range(size):
-        acc = Poly.zero(n)
-        for m in range(p, n + 1):
-            term = _t(m, n + m - nb, nb) * _ONE_MINUS_X ** (n - m)
-            acc = acc + Q(comb(n - p, n - m), comb(n + m, m)) * term
-        cols.append(acc.with_bound(n))
-    return FinMatrix.from_columns(cols, size)
-
-
-def _ref_a(n, beta):
-    nb = n * beta
-    cols = []
-    for p in range(n):
-        acc = Poly.zero(max(n - 1, 0))
-        for m in range(p, n):
-            term = _t(m, m + 1 - nb, nb) * _ONE_MINUS_X ** (n - 1 - m)
-            acc = acc + Q(comb(n - 1 - p, n - 1 - m), m + 1) * term
-        cols.append(acc.with_bound(n - 1))
-    return FinMatrix.from_columns(cols, n)
-
-
-def _ref_t(n, beta):
-    nb = n * beta
-    cols = []
-    for p in range(n):
-        acc = Poly.zero(max(n - 1, 0))
-        for m in range(p, n):
-            term = _t(m, n + m + 1 - nb, nb) * _ONE_MINUS_X ** (n - 1 - m)
-            acc = acc + Q(comb(n - 1 - p, n - 1 - m), comb(n + 1 + m, m)) * term
-        cols.append(acc.with_bound(n - 1))
-    return FinMatrix.from_columns(cols, n)
-
-
-def _ref_alpha(n, beta):
-    coeffs = [Q(0)] + [exact.binom(n * (1 - beta), m - 1) * exact.binom(n * beta, n - m)
-                       for m in range(1, n + 1)]
-    return Poly(coeffs, n) * Q(1, n)
-
-
-def _ref_phi(n, beta):
-    coeffs = [Q(0)] + [exact.binom(n * (2 - beta), m - 1) * exact.binom(n * beta, n - m)
-                       for m in range(1, n + 1)]
-    return Poly(coeffs, n) * Q(factorial(n + 1), n)
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_closed_forms_match_column_sums(n):
-    for beta in verify.DEFAULT_BETAS + (Q(0), Q(5, 7), Q(-3, 2)):
-        for kind, ref in (("G", _ref_g), ("H", _ref_h), ("A", _ref_a), ("T", _ref_t)):
-            assert beta_matrix(kind, n, beta).data == ref(n, beta).data, (kind, beta)
-        assert genlagrange._band_closed(n, 0, n * beta).data == _ref_g(n, beta).data
-        for got, want in ((beta_alpha_closed(n, beta), _ref_alpha(n, beta)),
-                          (beta_phi_closed(n, beta), _ref_phi(n, beta))):
-            assert (got.coeffs, got.bound) == (want.coeffs, want.bound)
 
 
 def test_corrupted_t_poly_is_named_by_the_h_check(monkeypatch):

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as Q
 
 import pytest
@@ -80,49 +79,3 @@ def test_matrix_is_immutable():
     row, col = a.row(0), a.column(0)
     row[0] = col[0] = Q(9)
     assert a == FinMatrix([[1, 2], [3, 4]])
-
-
-# -- products against the schoolbook Fraction reference -----------------------------
-
-def schoolbook(a, b):
-    """Entry lists of a * b by Fraction dot products."""
-    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)]
-            for row in a]
-
-
-def rand_rows(rng, rows, cols, kind):
-    """Integer-only, battery-style, sparse or pairwise-coprime large
-    denominators (distinct prime powers near 2^60)."""
-    primes = iter(rng.sample([p for p in range(3, 200) if all(p % d for d in range(2, p))],
-                             rows * cols))
-
-    def entry():
-        if kind == "int":
-            return Q(rng.randint(-9, 9))
-        if kind == "sparse":
-            return Q(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.2 else Q(0)
-        if kind == "coprime":
-            p = next(primes)
-            return Q(rng.randint(-2 ** 60, 2 ** 60), p ** (60 // p.bit_length()))
-        return Q(rng.randint(-3, 3), rng.randint(1, 3))
-    return [[entry() for _ in range(cols)] for _ in range(rows)]
-
-
-def product_cases():
-    rng = random.Random(41)
-    yield [[Q(3, 4)]], [[Q(-2, 9)]]
-    yield FinMatrix.identity(4).data, rand_rows(rng, 4, 4, "small")
-    yield rand_rows(rng, 3, 3, "coprime"), FinMatrix.identity(3).data
-    yield FinMatrix.zeros(2, 3).data, rand_rows(rng, 3, 2, "small")
-    for _ in range(40):
-        n, m, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
-        yield (rand_rows(rng, n, m, rng.choice(("int", "small", "sparse", "coprime"))),
-               rand_rows(rng, m, k, rng.choice(("int", "small", "sparse", "coprime"))))
-
-
-def test_product_matches_schoolbook():
-    for a, b in product_cases():
-        want = schoolbook(a, b)
-        assert (FinMatrix(a) * FinMatrix(b)).data == tuple(map(tuple, want))
-        vec = [col[0] for col in b]
-        assert FinMatrix(a).apply(Poly(vec, len(vec) - 1)).coeffs == tuple(r[0] for r in want)

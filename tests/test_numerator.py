@@ -1,10 +1,11 @@
 import random
 import re
 from fractions import Fraction as Q
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
+import reference as ref
 from riordan import arrays, exact, numerator, verify
 from riordan.cli import CORE_KINDS, EXP_KINDS
 from riordan.fps import ConsistencyError, DomainError, Poly, RangeError, Series
@@ -14,7 +15,6 @@ from riordan.numerator import (NumeratorResult, W_matrix, alpha_poly,
                                core_matrix, euler_numerator, exp_matrix,
                                narayana_numerator, phi_poly, shift_matrix,
                                strided_matrix, tilde_matrix)
-from test_exact import _eulerian_by_recurrence
 
 
 def geo(order):
@@ -51,9 +51,7 @@ def test_euler_numerator_preconditions():
 
 def _pair(rng, order):
     """A seeded weight b (b(0) != 0) and column series a (a(0) = 1)."""
-    b = [Q(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))]
-    b += [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)]
-    a = [Q(1)] + [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)]
+    b, a = ref.draw_pair(rng, order)
     return Series(b, order), Series(a, order)
 
 
@@ -203,40 +201,6 @@ def test_core_matrix_inverse_pairs():
         assert core_matrix("V", n) * core_matrix("Vinv", n) == FinMatrix.identity(size)
         j = core_matrix("J", n)
         assert j * j == FinMatrix.identity(size)
-
-
-def _ref_u(n, eulerian):
-    """U's earlier builder: column p is (1/n!) (1-x)^(n-p) A_p."""
-    cols = [Q(1, factorial(n)) * Poly([1, -1]) ** (n - p) * eulerian[p]
-            for p in range(n + 1)]
-    return FinMatrix.from_columns(cols, n + 1)
-
-
-def _ref_f(n):
-    """F's earlier builder: one (1-x)^(2n+1) window, a Series product per column."""
-    size = n + 1
-    window = Series((Poly([1, -1]) ** (2 * n + 1)).coeffs[:size], n)
-    cols = [Poly((Series([m ** p * comb(m + n, n) for m in range(size)], n) * window).coeffs)
-            for p in range(size)]
-    return FinMatrix.from_columns(cols, size)
-
-
-def _ref_falling_rising(n, c, scale):
-    """The earlier explicit Uinv (c = 1) and Finv (c = n+1) columns:
-    scale * x(x-1)...(x-p+1) * (x+c)(x+c+1)...(x+c+n-p-1)."""
-    cols = [scale * exact.falling_poly(p) * exact.rising_from(c, n - p) for p in range(n + 1)]
-    return FinMatrix.from_columns(cols, n + 1)
-
-
-def test_window_builders_match_their_references():
-    eulerian = [_eulerian_by_recurrence(p) for p in range(33)]
-    for n in range(0, 33):
-        assert core_matrix("U", n).data == _ref_u(n, eulerian).data
-        assert core_matrix("Uinv", n).data == _ref_falling_rising(n, 1, 1).data
-        if n >= 1:
-            assert exp_matrix("F", n).data == _ref_f(n).data
-            assert (exp_matrix("Finv", n).data
-                    == _ref_falling_rising(n, n + 1, Q(factorial(n), factorial(2 * n))).data)
 
 
 def test_v_action_is_mobius_substitution():
