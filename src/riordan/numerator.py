@@ -14,6 +14,18 @@ row p_n(0..2n+1) by (1-x)^power itself, apart from the window, and
 demands the numerator with zeros above it, so a wrong window cannot give
 extraction and residual the same wrong numerator and pass.
 
+Both extractions are one batch, ``_numerators(b, a, first, top, kind)``,
+since [x^n] of a product at order top is the same for every n <= top.
+It checks the pair once at top and walks three column sequences once,
+at order top: b*(a-1)^m for m <= top (``_euler_rows``), b*(log a)^j for
+j <= top (``_sheffer_rows``) and b*a^m for m <= 2*top+1
+(``_square_walk``).  Every n from first to top reads its value row off
+the first or second walk and its residual slice off the third, and runs
+the steps above on them.  The residual window is stepped from one n to
+the next, by (1-x) for Euler and (1-x)^2 for Narayana, rather than
+raised to its power afresh.  ``euler_numerator`` and
+``narayana_numerator`` are the batch at first = top = n.
+
 Every self-check here (that residual, the degree of h_n, the two routes
 to S, Sinv and W, the strips behind the tilde matrices) goes through
 ``fps.agree``.  On a mismatch its ConsistencyError names the route, n
@@ -51,9 +63,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import exact
-from .arrays import EXPONENTIAL, RiordanArray
-from .fps import (DomainError, Poly, Q, RangeError, Series, _count, _dots, _powers,
-                  _q, agree)
+from .fps import (DomainError, Poly, Q, RangeError, Series, _convolve, _count, _dots,
+                  _powers, _q, agree)
 from .matrix import FinMatrix
 
 _ONE_MINUS_X = Poly([1, -1])
@@ -73,48 +84,82 @@ def _check_square_pair(b: Series, a: Series, n: int):
         raise RangeError("series order must be at least n = %d" % n)
 
 
-def _check_residual(t, power: int, g: Poly, n: int):
-    """Multiply the diagonal terms t (x^0..x^(2n+1)) by (1-x)^power and
-    demand the product equal g through x^n and vanish through x^(2n+1)."""
-    product = Poly(t, 2 * n + 1) * _ONE_MINUS_X ** power
-    agree("numerator against the (1-x)^%d residual window (is a(0) = 1?)" % power,
-          Poly(product.coeffs[: 2 * n + 2]), g, n=n)
+def _check_residual(t, window: Poly, g: Poly, n: int):
+    """Multiply the diagonal terms t (x^0..x^(2n+1)) by the residual window
+    (1-x)^power, power = window.bound, and demand the product equal g
+    through x^n and vanish through x^(2n+1)."""
+    product = _convolve(t, window, 2 * n + 1)
+    agree("numerator against the (1-x)^%d residual window (is a(0) = 1?)" % window.bound,
+          Poly(product), g, n=n)
 
 
-def _square_row(b: Series, a: Series, n: int) -> list:
-    """[x^n] b*a^m for m = 0..2n+1: row n of the square array (b, a)
-    through column 2n+1, which reads b and a only through x^n."""
-    return [p.coeffs[n] for p in _powers(b.truncate(n), a.truncate(n), 2 * n + 2)]
+def _euler_rows(b: Series, a: Series, first: int, top: int) -> list:
+    """Row n of (b, a-1) through column n, for n = first..top, off one
+    walk of its columns b*(a-1)^m at order top."""
+    cols = _powers(b, a - 1, top + 1)
+    return [[c.coeffs[n] for c in cols[: n + 1]] for n in range(first, top + 1)]
+
+
+def _sheffer_rows(b: Series, a: Series, first: int, top: int) -> list:
+    """Row n of the exponential (b, log a), (n!/j!) [x^n] b*(log a)^j for
+    j = 0..n, for n = first..top, off one walk of its columns at order top."""
+    cols = _powers(b, a.log(), top + 1)
+    return [[Q(factorial(n), factorial(j)) * c.coeffs[n] for j, c in enumerate(cols[: n + 1])]
+            for n in range(first, top + 1)]
+
+
+def _square_walk(b: Series, a: Series, first: int, top: int) -> list:
+    """[x^n] b*a^m for m = 0..2n+1, for n = first..top: row n of the square
+    array (b, a) through column 2n+1, off one walk of the 2*top+2 columns
+    b*a^m at order top."""
+    cols = _powers(b, a, 2 * top + 2)
+    return [[c.coeffs[n] for c in cols[: 2 * n + 2]] for n in range(first, top + 1)]
+
+
+def _numerators(b: Series, a: Series, first: int, top: int, kind: str) -> list:
+    """The NumeratorResults for n = first..top, in order, of the square
+    array (b, a): Euler's g_n (kind "euler") or Narayana's h_n (kind
+    "narayana"), from one walk per route at order top."""
+    _check_square_pair(b, a, top)
+    b, a = b.truncate(top), a.truncate(top)
+    euler = kind == "euler"
+    # the residual window (1-x) step^n: (1-x)^(n+1) or (1-x)^(2n+1)
+    step = _ONE_MINUS_X if euler else _ONE_MINUS_X ** 2
+    window = _ONE_MINUS_X * step ** first
+    out = []
+    rows = (_euler_rows if euler else _sheffer_rows)(b, a, first, top)
+    for n, row, t in zip(range(first, top + 1), rows, _square_walk(b, a, first, top)):
+        if n > first:
+            window = window * step
+        if euler:
+            values = _dots([row], [[comb(m, p) for p in range(n + 1)] for m in range(n + 1)])[0]
+            poly = exact._window(values, n + 1)
+        else:
+            binoms = [comb(m + n, n) for m in range(2 * n + 1)]
+            values = _dots([row], [[c * m ** p for p in range(n + 1)]
+                                   for m, c in enumerate(binoms)])[0]
+            lifted = exact._window(values, 2 * n + 1)
+            poly = Poly(lifted.coeffs[: n + 1], n)
+            agree("Narayana numerator: lifted Sheffer row against its degree <= n part",
+                  lifted, poly, n=n)
+            t = [Q(factorial(m + n), factorial(m)) * w for m, w in enumerate(t)]
+        _check_residual(t, window, poly, n)
+        out.append(NumeratorResult(poly, n + 1))
+    return out
 
 
 def euler_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
     """Numerator g_n of row n of the square array (b, a): the window of
     p_n(m) = sum r_p C(m, p) for m, p = 0..n (C(m, p) = 0 for p > m), r
     row n of (b, a-1)."""
-    _check_square_pair(b, a, n)
-    row = RiordanArray(b.truncate(n), a.truncate(n) - 1).row(n)
-    values = _dots([row], [[comb(m, p) for p in range(n + 1)] for m in range(n + 1)])[0]
-    g = exact._window(values, n + 1)
-    _check_residual(_square_row(b, a, n), n + 1, g, n)
-    return NumeratorResult(g, n + 1)
+    return _numerators(b, a, n, n, "euler")[0]
 
 
 def narayana_numerator(b: Series, a: Series, n: int) -> NumeratorResult:
     """Numerator h_n of diagonal n of the exponential array (b, x*a): the
     window of C(m+n, n) s(m) for m = 0..2n, s row n of the Sheffer array
     (b, log a), which must have degree <= n."""
-    _check_square_pair(b, a, n)
-    s = RiordanArray(b.truncate(n), a.truncate(n).log(), EXPONENTIAL).sheffer_row(n)
-    binoms = [comb(m + n, n) for m in range(2 * n + 1)]
-    values = _dots([s.coeffs], [[c * m ** p for p in range(n + 1)]
-                                for m, c in enumerate(binoms)])[0]
-    lifted = exact._window(values, 2 * n + 1)
-    h = Poly(lifted.coeffs[: n + 1], n)
-    agree("Narayana numerator: lifted Sheffer row against its degree <= n part",
-          lifted, h, n=n)
-    t = [Q(factorial(m + n), factorial(m)) * w for m, w in enumerate(_square_row(b, a, n))]
-    _check_residual(t, 2 * n + 1, h, n)
-    return NumeratorResult(h, n + 1)
+    return _numerators(b, a, n, n, "narayana")[0]
 
 
 def alpha_poly(a: Series, n: int) -> Poly:

@@ -20,6 +20,14 @@ comparison per rational point t0, labelled ``t=...`` (``_alpha_gf``,
 and one more: the number of distinct points used against the
 order_x + 1 that decide the identity.
 
+A loop over n on one pair (b, a) extracts its numerators from one batch,
+``numerator._numerators`` through ``_numerator_polys``, which walks each
+route once at the largest n: thm2.2, thm2.3, thm3.2, thm4.1's map,
+thm4.4, ex2.1, ex3.1, ex3.2, ex4.1-4.3, ex7.1's top columns, and the
+alpha and phi families of ``_alpha_gf`` and ``_phi_gf`` (eq1, ex2.3,
+ex3.2).  eq2, eq3 and ex6.1, whose pair changes with n, and ex2.2,
+which reads only even n, call the single-n functions.
+
 Most theorem checks stand on two walks and three shapes.  ``_per_n``
 compares pair(n) for n = first_n..max_n: the alternations L E Alt R = +-J
 (thm2.1, 3.1, 8.1, 8.3) and the S identities (thm4.1-4.3).  ``_per_n_beta``
@@ -51,9 +59,9 @@ from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
                           gen_binomial_series, gen_lagrange_series, q_series,
                           t_poly, u_polys)
 from .matrix import FinMatrix
-from .numerator import (W_matrix, alpha_poly, alt_matrix, core_matrix,
-                        euler_numerator, exp_matrix, narayana_numerator,
-                        phi_poly, shift_matrix, strided_matrix, tilde_matrix)
+from .numerator import (W_matrix, _numerators, alpha_poly, alt_matrix, core_matrix,
+                        euler_numerator, exp_matrix, phi_poly, shift_matrix,
+                        strided_matrix, tilde_matrix)
 
 DEFAULT_BETAS = (Q(-2), Q(-1), Q(-1, 2), Q(1, 3), Q(1, 2), Q(1), Q(2), Q(3))
 DEFAULT_SEED = 20250809
@@ -279,6 +287,12 @@ def _t_points(count: int) -> list:
     return [Q(t) for t in sorted(range(-count, count + 1), key=abs) if t != 1][:count]
 
 
+def _numerator_polys(kind: str, b: Series, a: Series, first: int, top: int) -> dict:
+    """{n: numerator of row n of (b, a)} for n = first..top, Euler's g_n
+    (kind "euler") or Narayana's h_n ("narayana"), from one batch."""
+    return {n: r.poly for n, r in enumerate(_numerators(b, a, first, top, kind), first)}
+
+
 def _alpha_gf(a: Series, order_x: int):
     """For each of order_x + 1 points t0, the diagonal-numerator family
     sum(alpha_k(t0) x^k) of (1, x*a) and its generating function
@@ -291,11 +305,11 @@ def _alpha_gf(a: Series, order_x: int):
     agree at k + 1 points, so the order_x + 1 points t0 != 1 decide the
     identity through x^order_x, each by one Series inverse.
     """
-    alphas = [alpha_poly(a, k) for k in range(order_x + 1)]
+    alphas = _numerator_polys("euler", Series.one(a.order), a, 0, order_x)
     for t0 in _t_points(order_x + 1):
         s = 1 - t0
         scaled = Series([a.coeffs[k] * s ** k for k in range(order_x + 1)], order_x)
-        yield (t0, Series([alpha.eval(t0) for alpha in alphas], order_x),
+        yield (t0, Series([alpha.eval(t0) for alpha in alphas.values()], order_x),
                s / (1 - t0 * scaled))
 
 
@@ -311,12 +325,12 @@ def _phi_gf(a: Series, order_x: int):
     order_x + 1 points t0 != 1 decide the identity, each by one Series
     reversion (which checks itself).
     """
-    phis = [phi_poly(a, k) for k in range(order_x + 1)]
+    phis = _numerator_polys("narayana", Series.one(a.order), a, 0, order_x)
     for t0 in _t_points(order_x + 1):
         s = 1 - t0
         # one order past order_x, so that [x^(order_x+1)] x*b is known
         xb = (1 - t0 * a.truncate(order_x)).mul_x().reversion()
-        yield (t0, [phi.eval(t0) / factorial(k + 1) for k, phi in enumerate(phis)],
+        yield (t0, [phi.eval(t0) / factorial(k + 1) for k, phi in phis.items()],
                [xb.coeffs[k + 1] * s ** (2 * k + 1) for k in range(order_x + 1)])
 
 
@@ -520,10 +534,10 @@ def _chk_thm22(ctx):
         a = _rand_unit(rng, order)
         binv = b * a.inverse()
         ainv = a.inverse()
+        gs = _numerator_polys("euler", b, a, 0, top)
+        images = _numerator_polys("euler", binv, ainv, 0, top)
         for n in range(top + 1):
-            lhs = Q(-1) ** n * euler_numerator(b, a, n).poly.reverse()
-            rhs = euler_numerator(binv, ainv, n).poly
-            yield "trial=%d n=%d" % (trial, n), rhs, lhs
+            yield "trial=%d n=%d" % (trial, n), images[n], Q(-1) ** n * gs[n].reverse()
 
 
 def _chk_thm23(ctx):
@@ -532,8 +546,9 @@ def _chk_thm23(ctx):
     for trial in range(20):
         b = _rand_weight(rng, order)
         a = _rand_unit(rng, order)
+        gs = _numerator_polys("euler", b, a, 0, ctx.max_n)
         for n in range(ctx.max_n + 1):
-            yield ("trial=%d n=%d" % (trial, n), euler_numerator(b, a, n).poly.eval(1),
+            yield ("trial=%d n=%d" % (trial, n), gs[n].eval(1),
                    b.coeffs[0] * a.coeffs[1] ** n)
 
 
@@ -568,12 +583,12 @@ def _chk_thm32(ctx):
         xabar = a.mul_x().reversion()
         abar = xabar.div_x()
         image_b = b.compose(xabar) * xabar.derivative()
-        for n in range(top + 1):
-            h = narayana_numerator(b, a, n).poly
+        hs = _numerator_polys("narayana", b, a, 0, top)
+        images = _numerator_polys("narayana", image_b, abar, 0, top)
+        for n, h in hs.items():
             yield ("eval trial=%d n=%d" % (trial, n), h.eval(1),
                    b.coeffs[0] * a.coeffs[1] ** n * _rising(n))
-            yield ("trial=%d n=%d" % (trial, n),
-                   narayana_numerator(image_b, abar, n).poly, Q(-1) ** n * h.reverse())
+            yield "trial=%d n=%d" % (trial, n), images[n], Q(-1) ** n * h.reverse()
 
 
 def _chk_thm41(ctx):
@@ -585,22 +600,20 @@ def _chk_thm41(ctx):
     for trial in range(20):
         b = _rand_weight(rng, order)
         a = _rand_unit(rng, order)
-        for n in range(1, top + 1):
-            g = euler_numerator(b, a, n).poly
-            h = narayana_numerator(b, a, n).poly
-            yield "map trial=%d n=%d" % (trial, n), exp_matrix("S", n).apply(g), h
+        gs = _numerator_polys("euler", b, a, 1, top)
+        hs = _numerator_polys("narayana", b, a, 1, top)
+        for n, g in gs.items():
+            yield "map trial=%d n=%d" % (trial, n), exp_matrix("S", n).apply(g), hs[n]
 
 
 def _chk_thm44(ctx):
     top = min(4, ctx.max_n)
     for c in (Q(1), Q(2), Q(1, 2)):
         a = Series([c ** k for k in range(top + 1)], top)
-        for n in range(1, top + 1):
-            h = narayana_numerator(a, a, n).poly
+        for n, h in _numerator_polys("narayana", a, a, 1, top).items():
             yield "geometric c=%s n=%d" % (c, n), h.reverse(), h
     perturbed = Series.from_poly([1, 1, 2], max(top, 2))  # order 2 holds the x^2
-    numerators = (narayana_numerator(perturbed, perturbed, n).poly
-                  for n in range(1, top + 1))
+    numerators = _numerator_polys("narayana", perturbed, perturbed, 1, top).values()
     yield ("perturbed series breaks the symmetry by n=%d" % top,
            any(h.reverse() != h for h in numerators), True)
 
@@ -663,11 +676,11 @@ def _chk_ex21(ctx):
     top = min(5, ctx.max_n)
     a = Series.from_poly([1, 1], top) / Series.from_poly([1, -1], top)
     half_plus_x = Poly([Q(1, 2), 1])
+    alphas = _numerator_polys("euler", Series.one(top), a, 1, top)
     for n in range(1, top + 1):
         v = RiordanArray(Series.one(n), a.truncate(n) - 1).row_poly(n)
         yield ("v_%d" % n, v, Q(2) ** n * _X * half_plus_x ** (n - 1))
-        yield ("alpha_%d" % n, alpha_poly(a, n),
-               2 * _X * Poly([1, 1]) ** (n - 1))
+        yield "alpha_%d" % n, alphas[n], 2 * _X * Poly([1, 1]) ** (n - 1)
         u = RiordanArray(Series.one(top), a.log(), EXPONENTIAL).sheffer_row(n)
         want1 = sum((2 * exact.binom(n - 1, p_ - 1) * exact.falling_poly(p_)
                      * exact.rising_from(1, n - p_) for p_ in range(n + 1)),
@@ -725,6 +738,7 @@ def _chk_ex23(ctx):
 def _chk_ex31(ctx):
     top = min(5, ctx.max_n)
     cat = _catalan(top)
+    phis = _numerator_polys("narayana", Series.one(top), cat, 1, top)
     for n in range(1, top + 1):
         u = RiordanArray(Series.one(top), cat.log(), EXPONENTIAL).sheffer_row(n)
         yield ("u_%d over x" % n, u.div_x(),
@@ -732,8 +746,7 @@ def _chk_ex31(ctx):
         lifted = exact.rising_from(n + 1, n).with_bound(n)
         yield ("constant image n=%d" % n, exp_matrix("F", n).apply(lifted),
                Poly([_rising(n)], 0).with_bound(n))
-        yield ("monomial numerator n=%d" % n, phi_poly(cat, n),
-               _rising(n) * _X)
+        yield "monomial numerator n=%d" % n, phis[n], _rising(n) * _X
     rng = ctx.rng("ex3.1")
     for trial in range(20):
         a = _rand_unit(rng, 10)
@@ -755,8 +768,8 @@ def _chk_ex31(ctx):
 def _chk_ex32(ctx):
     top = min(6, ctx.max_n)
     geo = Series.geometric(top)
-    for n in range(1, top + 1):
-        yield "phi_%d" % n, phi_poly(geo, n), beta_phi_closed(n, 1)
+    for n, phi in _numerator_polys("narayana", Series.one(top), geo, 1, top).items():
+        yield "phi_%d" % n, phi, beta_phi_closed(n, 1)
     order_x, used = 8, []
     gf = _phi_gf(Series.geometric(order_x), order_x)
     for t0, got, want in _distinct_points(gf, used):
@@ -775,15 +788,13 @@ def _chk_ex32(ctx):
 def _chk_ex41(ctx):
     top = min(6, ctx.max_n)
     geo = Series.geometric(top)
-    for n in range(top + 1):
-        yield ("flat numerator n=%d" % n,
-               euler_numerator(geo, geo, n).poly, Poly.one().with_bound(n))
-    for n in range(1, top + 1):
+    for n, g in _numerator_polys("euler", geo, geo, 0, top).items():
+        yield "flat numerator n=%d" % n, g, Poly.one().with_bound(n)
+    for n, h in _numerator_polys("narayana", geo, geo, 1, top).items():
         type_b = Poly([comb(n, m) ** 2 for m in range(n + 1)], n)
         yield ("type-B column n=%d" % n,
                exp_matrix("S", n).column_poly(0), factorial(n) * type_b)
-        yield ("exponential image n=%d" % n,
-               narayana_numerator(geo, geo, n).poly, factorial(n) * type_b)
+        yield "exponential image n=%d" % n, h, factorial(n) * type_b
 
 
 def _chk_ex42(ctx):
@@ -791,17 +802,15 @@ def _chk_ex42(ctx):
     one_plus_x = Series.from_poly([1, 1], top)
     cat = _catalan(top)
     pref = 1 + xdlog(cat)
+    gs = _numerator_polys("euler", one_plus_x, one_plus_x, 1, top)
+    hs = _numerator_polys("narayana", one_plus_x, one_plus_x, 1, top)
+    images = _numerator_polys("narayana", pref, cat, 1, top)
     for n in range(1, top + 1):
-        yield ("ordinary numerator n=%d" % n,
-               euler_numerator(one_plus_x, one_plus_x, n).poly,
-               Poly.monomial(n - 1).with_bound(n))
+        yield "ordinary numerator n=%d" % n, gs[n], Poly.monomial(n - 1).with_bound(n)
         half = Q(factorial(2 * n), 2 * factorial(n)) * Poly([1, 1])
-        yield ("exponential numerator n=%d" % n,
-               narayana_numerator(one_plus_x, one_plus_x, n).poly,
+        yield ("exponential numerator n=%d" % n, hs[n],
                (half * Poly.monomial(n - 1)).with_bound(n))
-        yield ("reversed image n=%d" % n,
-               narayana_numerator(pref, cat, n).poly,
-               half.with_bound(n))
+        yield "reversed image n=%d" % n, images[n], half.with_bound(n)
 
 
 def _chk_ex43(ctx):
@@ -809,18 +818,17 @@ def _chk_ex43(ctx):
     cat = _catalan(top)
     deriv = cat.mul_x().derivative()
     pref = 1 + xdlog(cat)
+    hs = _numerator_polys("narayana", deriv, cat, 1, top)
+    gs = _numerator_polys("euler", deriv, cat, 1, top)
+    reciprocals = _numerator_polys("euler", pref, cat.inverse(), 1, top)
     for n in range(1, top + 1):
         scale = _rising(n)
-        yield ("constant numerator n=%d" % n,
-               narayana_numerator(deriv, cat, n).poly,
-               Poly([scale], 0).with_bound(n))
-        yield ("ordinary numerator n=%d" % n,
-               euler_numerator(deriv, cat, n).poly,
+        yield "constant numerator n=%d" % n, hs[n], Poly([scale], 0).with_bound(n)
+        yield ("ordinary numerator n=%d" % n, gs[n],
                (scale * exp_matrix("Sinv", n).column_poly(0)).with_bound(n))
         want = Q(-1) ** n * Poly([comb(2 * n, m) * exact.binom(-n, n - m)
                                   for m in range(n + 1)], n)
-        yield ("reciprocal numerator n=%d" % n,
-               euler_numerator(pref, cat.inverse(), n).poly, want)
+        yield "reciprocal numerator n=%d" % n, reciprocals[n], want
 
 
 def _chk_ex61(ctx):
@@ -863,11 +871,9 @@ def _chk_ex71(ctx):
         fam = beta_family(beta, 1, top)
         fam_beta = beta_family(beta, beta, top)
         pref = (1 + xdlog(fam_beta)) if beta != 0 else Series.one(top)
-        for n in range(1, top + 1):
-            scale = _rising(n)
-            want = narayana_numerator(pref, fam, n).poly
+        for n, want in _numerator_polys("narayana", pref, fam, 1, top).items():
             yield ("top column beta=%s n=%d" % (beta, n),
-                   scale * beta_matrix("H", n, beta).column_poly(n), want)
+                   _rising(n) * beta_matrix("H", n, beta).column_poly(n), want)
     for n in range(1, min(6, ctx.max_n) + 1):
         hs = [(beta, beta_matrix("H", n, beta)) for beta in ctx.betas]
         for beta, h in hs:

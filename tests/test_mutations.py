@@ -1,12 +1,13 @@
 """What the battery catches: one table of mutations.
 
 Each row corrupts the output of one library function or verify helper
-and names the battery checks that must then fail: every check that
-fails at ``MAX_N``, except a slow one that a comment names, where a
-faster named check already catches the mutant.  The mutant replaces the
-name in every ``riordan`` module that holds it, since ``verify`` and
-``genlagrange`` import their constructors with ``from ... import``, and
-a method is replaced on its class.  Each named check runs alone at
+(or of each of a tuple of them, where one route is computed in more
+than one place) and names the battery checks that must then fail: every
+check that fails at ``MAX_N``, except a slow one that a comment names,
+where a faster named check already catches the mutant.  The mutant
+replaces the name in every ``riordan`` module that holds it, since
+``verify`` and ``genlagrange`` import their constructors with
+``from ... import``, and a method is replaced on its class.  Each named check runs alone at
 ``MAX_N``, through ``fps._mismatch`` as ``run_suite`` compares, and
 stops at its first difference or at the first library error it raises.
 The matrix memos of ``numerator`` and ``genlagrange.beta_matrix`` are
@@ -37,14 +38,22 @@ MEMOS = (numerator.core_matrix, numerator.exp_matrix, numerator.tilde_matrix,
          numerator.W_matrix, genlagrange.beta_matrix)
 
 
+def _bump_entries(entries):
+    """``entries`` as a list with 1 added to entry 1 (to entry 0 if that
+    is its only one)."""
+    entries = list(entries)
+    entries[min(1, len(entries) - 1)] += 1
+    return entries
+
+
 def _bump(value):
     """A Poly or Series with 1 added to coefficient 1 (to coefficient 0
-    if that is its only one)."""
-    coeffs = list(value.coeffs)
-    coeffs[min(1, len(coeffs) - 1)] += 1
+    if that is its only one); a list of rows with each row bumped so."""
+    if isinstance(value, list):
+        return [_bump_entries(row) for row in value]
     if isinstance(value, Series):
-        return Series(coeffs, value.order)
-    return Poly(coeffs, value.bound)
+        return Series(_bump_entries(value.coeffs), value.order)
+    return Poly(_bump_entries(value.coeffs), value.bound)
 
 
 def _output(change):
@@ -81,9 +90,16 @@ ROWS = [
                  ("ex2.2", "section5"), id="lagrange_pair"),
     pytest.param("arrays.lagrange_pair", _output(lambda s: s.truncate(s.order // 2)),
                  ("ex2.2", "section5"), id="lagrange_pair-half-order"),
-    pytest.param("arrays.RiordanArray.sheffer_row", _output(_bump),
+    # the Sheffer rows of (b, log a): Narayana's value route, off one walk per
+    # batch, and the u_n of ex2.1, ex2.2 and ex3.1, one row at a time
+    pytest.param(("numerator._sheffer_rows", "arrays.RiordanArray.sheffer_row"),
+                 _output(_bump),
                  ("thm3.2", "thm4.1", "thm4.4", "ex2.1", "ex2.2", "ex3.1", "ex3.2",
                   "ex4.1", "ex4.2", "ex4.3", "ex7.1", "eq1", "eq3"), id="sheffer_row"),
+    # Euler's value route: the rows of (b, a-1), off one walk per batch
+    pytest.param("numerator._euler_rows", _output(_bump),
+                 ("thm2.2", "thm2.3", "thm4.1", "ex2.1", "ex2.2", "ex2.3", "ex4.1",
+                  "ex4.2", "ex4.3", "ex6.1", "eq1", "eq2"), id="euler_rows"),
     # section5 also fails, after 0.35 s
     pytest.param("fps.xdlog", _output(_bump),
                  ("fixtures", "ex3.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1"),
@@ -101,12 +117,18 @@ ROWS = [
                   "thm9.3", "thm9.4", "thm9.5", "ex2.1", "ex2.2", "ex2.3", "ex3.1", "ex3.2",
                   "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1", "eq1", "eq2", "eq3",
                   "w-amazing", "col-sums"), id="window"),
-    # the residual route of both extractions, which stays off the window
-    pytest.param("numerator._square_row",
-                 _output(lambda row: row[:1] + [row[1] + 1] + row[2:]),
+    # the residual route of both extractions, which stays off the window: the
+    # walk b*a^m that every n of a batch reads its slice off
+    pytest.param("numerator._square_walk", _output(_bump),
                  ("thm2.2", "thm2.3", "thm3.2", "thm4.1", "thm4.4", "ex2.1", "ex2.2",
                   "ex2.3", "ex3.1", "ex3.2", "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1",
                   "eq1", "eq2", "eq3"), id="square_row"),
+    # n = 3's slice alone, [x^3] b*a^m for m = 0..7; ex2.2 extracts only at even n
+    pytest.param("numerator._square_walk",
+                 _output(lambda rows: [_bump_entries(r) if len(r) == 8 else r for r in rows]),
+                 ("thm2.2", "thm2.3", "thm3.2", "thm4.1", "thm4.4", "ex2.1", "ex2.3",
+                  "ex3.1", "ex3.2", "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1", "eq1",
+                  "eq2", "eq3"), id="square_walk-one-n"),
     pytest.param("verify._reduce", _output(lambda m: 2 * m),
                  ("fixtures", "thm6.3", "thm9.3", "w-amazing"), id="reduce"),
     pytest.param("verify._t_points", _output(lambda points: points[:-1]),
@@ -155,10 +177,11 @@ def _clear_memos():
         memo.cache_clear()
 
 
-@pytest.mark.parametrize("target, mutate, checks", ROWS)
-def test_battery_catches_the_mutation(monkeypatch, target, mutate, checks):
+@pytest.mark.parametrize("targets, mutate, checks", ROWS)
+def test_battery_catches_the_mutation(monkeypatch, targets, mutate, checks):
     _clear_memos()
-    _install(monkeypatch, target, mutate)
+    for target in (targets,) if isinstance(targets, str) else targets:
+        _install(monkeypatch, target, mutate)
     try:
         survived = [name for name in checks if _first_failure(name) is None]
     finally:

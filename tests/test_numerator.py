@@ -126,11 +126,12 @@ def test_bad_n_is_domain_error(call, args):
 
 
 def _entry_1_off_by_one(real):
-    """``real`` with entry 1 of the sequence it returns off by one."""
+    """``real`` with entry 1 of each row it returns off by one."""
     def wrong(*args):
-        entries = list(real(*args))
-        entries[1] += 1
-        return entries
+        rows = real(*args)
+        for row in rows:
+            row[1] += 1
+        return rows
     return wrong
 
 
@@ -142,26 +143,24 @@ _RESIDUAL = (r"^numerator against the \(1-x\)\^%d residual window .*"
 def test_euler_numerator_catches_one_wrong_route(monkeypatch):
     one_plus_x = Series.from_poly([1, 1], 12)
     want = euler_numerator(one_plus_x, geo(12), 3)
-    for owner, name, values in ((arrays.RiordanArray, "row", "got 2, want 3"),  # (b, a-1)
-                                (numerator, "_square_row", "got 3, want 2")):  # residual
+    for name, values in (("_euler_rows", "got 2, want 3"),  # row 3 of (b, a-1)
+                         ("_square_walk", "got 3, want 2")):  # the residual's slice
         with monkeypatch.context() as m:
-            m.setattr(owner, name, _entry_1_off_by_one(getattr(owner, name)))
+            m.setattr(numerator, name, _entry_1_off_by_one(getattr(numerator, name)))
             with pytest.raises(ConsistencyError, match=_RESIDUAL % (4, 3, 1) + values):
                 euler_numerator(one_plus_x, geo(12), 3)
     assert euler_numerator(one_plus_x, geo(12), 3) == want
 
 
 def test_narayana_numerator_catches_one_wrong_route(monkeypatch):
-    real_sheffer = arrays.RiordanArray.sheffer_row
     want = narayana_numerator(Series.one(14), geo(14), 3)
     with monkeypatch.context() as m:  # the Sheffer row lifted through U
-        m.setattr(arrays.RiordanArray, "sheffer_row",
-                  lambda self, n: real_sheffer(self, n) + Poly.monomial(1))
+        m.setattr(numerator, "_sheffer_rows", _entry_1_off_by_one(numerator._sheffer_rows))
         with pytest.raises(ConsistencyError,
                            match=_RESIDUAL % (7, 3, 1) + "got 24, want 28"):
             narayana_numerator(Series.one(14), geo(14), 3)
-    with monkeypatch.context() as m:  # the residual from the square row
-        m.setattr(numerator, "_square_row", _entry_1_off_by_one(numerator._square_row))
+    with monkeypatch.context() as m:  # the residual from row 3 of the square array
+        m.setattr(numerator, "_square_walk", _entry_1_off_by_one(numerator._square_walk))
         with pytest.raises(ConsistencyError,
                            match=_RESIDUAL % (7, 3, 1) + "got 48, want 24"):
             narayana_numerator(Series.one(14), geo(14), 3)
@@ -329,10 +328,14 @@ def test_phi_gf_check_geometric():
     assert _only_equal_pairs(verify._phi_gf(geo(26), 6), 6)
 
 
-def _perturbed(real, k, delta):
-    """``real`` with ``delta`` added to its n = k polynomial."""
-    def wrong(a, n):
-        return real(a, n) + delta if n == k else real(a, n)
+def _perturbed(k, delta, kinds=("euler", "narayana")):
+    """The batch ``numerator._numerators``, which the battery reads, with
+    ``delta`` added to its n = k polynomial of each of ``kinds``."""
+    def wrong(b, a, first, top, kind):
+        out = numerator._numerators(b, a, first, top, kind)
+        if kind in kinds and first <= k <= top:
+            out[k - first] = out[k - first]._replace(poly=out[k - first].poly + delta)
+        return out
     return wrong
 
 
@@ -351,8 +354,7 @@ def _vanishing_at(points):
     (6, _vanishing_at(verify._t_points(6))),
 ], ids=["low", "top", "vanishing"])
 def test_gf_checks_catch_a_wrong_numerator(monkeypatch, k, delta):
-    monkeypatch.setattr(verify, "alpha_poly", _perturbed(alpha_poly, k, delta))
-    monkeypatch.setattr(verify, "phi_poly", _perturbed(phi_poly, k, delta))
+    monkeypatch.setattr(verify, "_numerators", _perturbed(k, delta))
     assert not _only_equal_pairs(verify._alpha_gf(geo(16), 6), 6)
     assert not _only_equal_pairs(verify._phi_gf(geo(26), 6), 6)
 
@@ -361,7 +363,7 @@ def test_gf_checks_catch_a_wrong_numerator(monkeypatch, k, delta):
 @pytest.mark.parametrize("k, delta", [(3, Poly.monomial(1)), (8, Poly.monomial(8))],
                          ids=["low", "top"])
 def test_ex23_catches_a_wrong_numerator(monkeypatch, k, delta):
-    monkeypatch.setattr(verify, "alpha_poly", _perturbed(alpha_poly, k, delta))
+    monkeypatch.setattr(verify, "_numerators", _perturbed(k, delta, ("euler",)))
     report = verify.run_suite("ex2.3")
     assert not report.ok
     first, second = report.results[0].detail.split("; ")[:2]
@@ -372,14 +374,15 @@ def test_ex23_catches_a_wrong_numerator(monkeypatch, k, delta):
 
 def test_ex32_names_the_point_and_index_of_a_wrong_phi(monkeypatch):
     # phi_8 lies past the phi_n comparisons, so only the identity sees it
-    monkeypatch.setattr(verify, "phi_poly", _perturbed(phi_poly, 8, Poly.monomial(8)))
+    monkeypatch.setattr(verify, "_numerators",
+                        _perturbed(8, Poly.monomial(8), ("narayana",)))
     detail = verify.run_suite("ex3.2").results[0].detail
     assert re.match(r"exponential generating identity t=-1: index 8: got [-\d/]+, "
                     r"want [-\d/]+; ", detail)
 
 
 def test_eq1_names_the_trial_point_and_coefficient(monkeypatch):
-    monkeypatch.setattr(verify, "alpha_poly", _perturbed(alpha_poly, 3, Poly.monomial(1)))
+    monkeypatch.setattr(verify, "_numerators", _perturbed(3, Poly.monomial(1), ("euler",)))
     detail = verify.run_suite("eq1").results[0].detail
     assert re.match(r"ordinary families trial=0 t=-1: coefficient 3: got [-\d/]+, "
                     r"want [-\d/]+; ", detail)
@@ -455,6 +458,8 @@ def test_extractions_build_and_read_no_connection_matrix():
     _clear_memos()
     euler_numerator(b, a, 6)
     narayana_numerator(b, a, 6)
+    for kind in ("euler", "narayana"):
+        assert len(numerator._numerators(b, a, 0, 6, kind)) == 7
     assert [ctor.cache_info().currsize for ctor, _ in _MEMOIZED] == [0, 0, 0, 0]
 
 

@@ -15,9 +15,9 @@ from fractions import Fraction as Q
 import pytest
 
 import reference as ref
-from riordan import exact, genlagrange, verify
+from riordan import exact, genlagrange, numerator, verify
 from riordan.arrays import EXPONENTIAL, ORDINARY, SQUARE, RiordanArray
-from riordan.fps import Poly, Series, _convolve, _mismatch
+from riordan.fps import DomainError, Poly, RangeError, Series, _convolve, _mismatch
 from riordan.genlagrange import beta_alpha_closed, beta_matrix, beta_phi_closed
 from riordan.matrix import FinMatrix
 from riordan.numerator import core_matrix, euler_numerator, exp_matrix, narayana_numerator
@@ -27,6 +27,8 @@ EXPONENTS = (Q(1, 2), Q(-1, 3), Q(5, 2), Q(3, 7))
 MATRIX_KINDS = ("int", "small", "sparse", "coprime")
 BETAS = verify.DEFAULT_BETAS + (Q(0), Q(5, 7), Q(-3, 2))
 PAIRS = 10  # seeded (b, a) per extraction row
+BATCH_PAIRS = 3  # seeded (b, a) per batch row, each read at every n <= top
+SINGLE = {"euler": euler_numerator, "narayana": narayana_numerator}
 
 
 def _fit(coeffs, order):
@@ -180,6 +182,50 @@ def _extraction(extract, reference):
     return rows
 
 
+def _batch(kind, reference):
+    """Rows for a batch: every n <= top of ``numerator._numerators`` on
+    ``BATCH_PAIRS`` seeded (b, a) of order exactly top, against the
+    reference and against the single-n call."""
+    def rows(rng, regime, top):
+        for _ in range(BATCH_PAIRS):
+            b, a = ref.draw_pair(rng, top)
+            where = "b = %s, a = %s" % ([str(v) for v in b], [str(v) for v in a])
+            batch = numerator._numerators(Series(b), Series(a), 0, top, kind)
+            yield "%s: batch size" % where, len(batch), top + 1
+            for n, result in enumerate(batch):
+                yield ("%s n=%d" % (where, n), _bounded(result.poly),
+                       _bounded(Poly(reference(b, a, n), n)))
+                yield ("%s n=%d single" % (where, n),
+                       repr(SINGLE[kind](Series(b), Series(a), n)), repr(result))
+    return rows
+
+
+def _raised(call, *args):
+    """The type and message of the DomainError or RangeError that
+    call(*args) raises, or None."""
+    try:
+        call(*args)
+    except (DomainError, RangeError) as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+def _batch_errors(rng, regime, top):
+    """A batch from n = 0 raises the typed error of the single call at top:
+    RangeError for series of order top - 1, DomainError for b(0) = 0."""
+    b, a = ref.draw_pair(rng, top)
+    short = Series(b[:top]), Series(a[:top])
+    zero_b = Series([Q(0)] + b[1:]), Series(a)
+    for kind, single in SINGLE.items():
+        for what, (bs, as_), want in (
+                ("order %d" % (top - 1), short,
+                 ("RangeError", "series order must be at least n = %d" % top)),
+                ("b(0) = 0", zero_b, ("DomainError", "weight series needs b(0) != 0"))):
+            yield ("%s batch 0..%d, %s" % (kind, top, what),
+                   _raised(numerator._numerators, bs, as_, 0, top, kind), want)
+            yield "%s n=%d, %s" % (kind, top, what), _raised(single, bs, as_, top), want
+
+
 # -- connection matrices and closed forms ----------------------------------------------
 
 CONNECTION = {"U": (lambda n: core_matrix("U", n), ref.u_matrix),
@@ -223,7 +269,10 @@ KERNELS = {
     "product": _product, "inverse": _inverse, "exp": _exp, "log": _log, "pow": _pow,
     "compose": _compose, "reversion": _reversion, "matmul": _matmul, "matinv": _matinv,
     "row": _row, "euler": _extraction(euler_numerator, ref.euler),
-    "narayana": _extraction(narayana_numerator, ref.narayana), "connection": _connection,
+    "narayana": _extraction(narayana_numerator, ref.narayana),
+    "numerators-euler": _batch("euler", ref.euler),
+    "numerators-narayana": _batch("narayana", ref.narayana),
+    "numerators-errors": _batch_errors, "connection": _connection,
     "eulerian": _eulerian, "binom": _binom, "closed-forms": _closed_forms,
 }
 
@@ -252,6 +301,9 @@ TABLE = [
     *[("row", flavor, (0, 1, 2, 3, 5, 8, 12)) for flavor in (ORDINARY, EXPONENTIAL, SQUARE)],
     ("euler", "pairs", range(9)),
     ("narayana", "pairs", range(9)),
+    ("numerators-euler", "pairs", range(13)),
+    ("numerators-narayana", "pairs", range(13)),
+    ("numerators-errors", "typed", range(1, 13)),
     ("connection", "U", range(33)),
     ("connection", "Uinv", range(33)),
     ("connection", "F", range(1, 33)),
