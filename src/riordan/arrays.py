@@ -9,7 +9,9 @@ n-th descending diagonal of (b, x*a).
 
 Rows, columns and diagonals are plain tuples of Fractions.  Rows and
 diagonals are read off the walk f, f*g, f*g^2, ... of ``fps._powers``,
-the one place that steps through the column series.
+the one place that steps through the column series.  ``rows`` is the
+one reader of rows, called by ``row``, ``genlagrange.u_polys`` and both
+routes of the numerator batch.
 """
 
 from __future__ import annotations
@@ -69,14 +71,30 @@ class RiordanArray:
         p = self.f.truncate(n) * self.g.truncate(n).pow(m)
         return self._weight(n, m) * p.coeffs[n]
 
+    def rows(self, first: int, top: int, width: int) -> list:
+        """Rows n = first..top, row n holding entries (n, m) for m < width
+        (only m <= n in a triangular flavor), off one walk at order top."""
+        _count("first row", first)
+        _count("width", width, 1)
+        if _count("top row", top) > self.order:
+            raise RangeError("row %d beyond order %d" % (top, self.order))
+        if first > top:
+            raise RangeError("first row %d beyond top row %d" % (first, top))
+        square = self.flavor == SQUARE
+        cols = _powers(self.f.truncate(top), self.g.truncate(top),
+                       width if square else min(width, top + 1))
+        out = []
+        for n in range(first, top + 1):
+            row = [p.coeffs[n] for p in (cols if square else cols[: n + 1])]
+            if self.flavor == EXPONENTIAL:
+                row = [Q(factorial(n), factorial(m)) * v for m, v in enumerate(row)]
+            out.append(tuple(row))
+        return out
+
     def row(self, n: int) -> tuple:
         """Row n: length n+1 for triangular flavors, order+1 for square."""
         _count("row index", n)
-        if n > self.order:
-            raise RangeError("row %d beyond order %d" % (n, self.order))
-        top = n if self.flavor != SQUARE else self.order
-        cols = _powers(self.f.truncate(n), self.g.truncate(n), top + 1)
-        return tuple([self._weight(n, m) * p.coeffs[n] for m, p in enumerate(cols)])
+        return self.rows(n, n, self.order + 1)[0]
 
     def row_poly(self, n: int) -> Poly:
         row = self.row(n)

@@ -62,8 +62,7 @@ from math import comb, factorial
 
 from . import exact
 from .arrays import EXPONENTIAL, RiordanArray
-from .fps import (DomainError, PoleError, Poly, Q, RangeError, Series, _count,
-                  _powers, _q, agree)
+from .fps import DomainError, PoleError, Poly, Q, RangeError, Series, _count, _q, agree
 from .matrix import FinMatrix
 from .numerator import core_matrix, exp_matrix, shift_matrix, tilde_matrix
 
@@ -89,15 +88,15 @@ def gen_binomial_series(beta, phi, order: int) -> Series:
 
 
 def u_polys(a: Series, top: int):
-    """Rows 0..top of the exponential array (1, log a) as polynomials."""
+    """Rows 0..top of the exponential array (1, log a) as polynomials,
+    off one walk of its columns at order top."""
     _count("top", top)
     if a.coeffs[0] != 1:
         raise DomainError("needs a(0) = 1")
     if a.order < top:
         raise RangeError("series order too small")
-    cols = _powers(Series.one(top), a.truncate(top).log(), top + 1)
-    return [Poly([Q(factorial(n), factorial(j)) * cols[j].coeffs[n] for j in range(n + 1)], n)
-            for n in range(top + 1)]
+    sheffer = RiordanArray(Series.one(top), a.truncate(top).log(), EXPONENTIAL)
+    return [Poly(row, n) for n, row in enumerate(sheffer.rows(0, top, top + 1))]
 
 
 def gen_lagrange_series(a: Series, beta, order: int) -> Series:

@@ -16,15 +16,15 @@ extraction and residual the same wrong numerator and pass.
 
 Both extractions are one batch, ``_numerators(b, a, first, top, kind)``,
 since [x^n] of a product at order top is the same for every n <= top.
-It checks the pair once at top and walks three column sequences once,
-at order top: b*(a-1)^m for m <= top (``_euler_rows``), b*(log a)^j for
-j <= top (``_sheffer_rows``) and b*a^m for m <= 2*top+1
-(``_square_walk``).  Every n from first to top reads its value row off
-the first or second walk and its residual slice off the third, and runs
-the steps above on them.  The residual window is stepped from one n to
-the next, by (1-x) for Euler and (1-x)^2 for Narayana, rather than
-raised to its power afresh.  ``euler_numerator`` and
-``narayana_numerator`` are the batch at first = top = n.
+It checks the pair once at top and reads rows first..top of two arrays
+with ``RiordanArray.rows``, each off one walk at order top: the value
+rows, of (b, a-1) (Euler) or of the exponential (b, log a) (Narayana),
+and the rows of the square (b, a) through column 2*top+1, of which n
+reads its residual slice p_n(0..2n+1).  Every n runs the steps above on
+them.  The residual window is stepped from one n to the next, by (1-x)
+for Euler and (1-x)^2 for Narayana, rather than raised to its power
+afresh.  ``euler_numerator`` and ``narayana_numerator`` are the batch
+at first = top = n.
 
 Every self-check here (that residual, the degree of h_n, the two routes
 to S, Sinv and W, the strips behind the tilde matrices) goes through
@@ -63,8 +63,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import exact
-from .fps import (DomainError, Poly, Q, RangeError, Series, _convolve, _count, _dots,
-                  _powers, _q, agree)
+from .arrays import EXPONENTIAL, SQUARE, RiordanArray
+from .fps import DomainError, Poly, Q, RangeError, Series, _convolve, _count, _dots, _q, agree
 from .matrix import FinMatrix
 
 _ONE_MINUS_X = Poly([1, -1])
@@ -93,29 +93,6 @@ def _check_residual(t, window: Poly, g: Poly, n: int):
           Poly(product), g, n=n)
 
 
-def _euler_rows(b: Series, a: Series, first: int, top: int) -> list:
-    """Row n of (b, a-1) through column n, for n = first..top, off one
-    walk of its columns b*(a-1)^m at order top."""
-    cols = _powers(b, a - 1, top + 1)
-    return [[c.coeffs[n] for c in cols[: n + 1]] for n in range(first, top + 1)]
-
-
-def _sheffer_rows(b: Series, a: Series, first: int, top: int) -> list:
-    """Row n of the exponential (b, log a), (n!/j!) [x^n] b*(log a)^j for
-    j = 0..n, for n = first..top, off one walk of its columns at order top."""
-    cols = _powers(b, a.log(), top + 1)
-    return [[Q(factorial(n), factorial(j)) * c.coeffs[n] for j, c in enumerate(cols[: n + 1])]
-            for n in range(first, top + 1)]
-
-
-def _square_walk(b: Series, a: Series, first: int, top: int) -> list:
-    """[x^n] b*a^m for m = 0..2n+1, for n = first..top: row n of the square
-    array (b, a) through column 2n+1, off one walk of the 2*top+2 columns
-    b*a^m at order top."""
-    cols = _powers(b, a, 2 * top + 2)
-    return [[c.coeffs[n] for c in cols[: 2 * n + 2]] for n in range(first, top + 1)]
-
-
 def _numerators(b: Series, a: Series, first: int, top: int, kind: str) -> list:
     """The NumeratorResults for n = first..top, in order, of the square
     array (b, a): Euler's g_n (kind "euler") or Narayana's h_n (kind
@@ -127,8 +104,11 @@ def _numerators(b: Series, a: Series, first: int, top: int, kind: str) -> list:
     step = _ONE_MINUS_X if euler else _ONE_MINUS_X ** 2
     window = _ONE_MINUS_X * step ** first
     out = []
-    rows = (_euler_rows if euler else _sheffer_rows)(b, a, first, top)
-    for n, row, t in zip(range(first, top + 1), rows, _square_walk(b, a, first, top)):
+    value_array = RiordanArray(b, a - 1) if euler else RiordanArray(b, a.log(), EXPONENTIAL)
+    rows = value_array.rows(first, top, top + 1)
+    squares = RiordanArray(b, a, SQUARE).rows(first, top, 2 * top + 2)
+    for n, row, t in zip(range(first, top + 1), rows, squares):
+        t = t[: 2 * n + 2]
         if n > first:
             window = window * step
         if euler:

@@ -23,10 +23,11 @@ order_x + 1 that decide the identity.
 A loop over n on one pair (b, a) extracts its numerators from one batch,
 ``numerator._numerators`` through ``_numerator_polys``, which walks each
 route once at the largest n: thm2.2, thm2.3, thm3.2, thm4.1's map,
-thm4.4, ex2.1, ex3.1, ex3.2, ex4.1-4.3, ex7.1's top columns, and the
-alpha and phi families of ``_alpha_gf`` and ``_phi_gf`` (eq1, ex2.3,
-ex3.2).  eq2, eq3 and ex6.1, whose pair changes with n, and ex2.2,
-which reads only even n, call the single-n functions.
+thm4.4, ex2.1, ex2.2 (its even n), ex3.1, ex3.2, ex4.1-4.3, ex6.1's
+transport, ex7.1's top columns, and the alpha and phi families of
+``_alpha_gf`` and ``_phi_gf`` (eq1, ex2.3, ex3.2).  Only eq2, eq3 and
+ex6.1's column rows, whose pair changes with n, call the single-n
+functions.
 
 Most theorem checks stand on two walks and three shapes.  ``_per_n``
 compares pair(n) for n = first_n..max_n: the alternations L E Alt R = +-J
@@ -52,7 +53,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import exact
-from .arrays import EXPONENTIAL, RiordanArray, lagrange_pair, table_row
+from .arrays import RiordanArray, lagrange_pair, table_row
 from .fps import DomainError, Poly, Q, Series, _mismatch, _powers, _q, xdlog
 from .genlagrange import (beta_alpha_closed, beta_matrix, beta_phi_closed,
                           beta_q_transform, beta_u_transform,
@@ -677,19 +678,19 @@ def _chk_ex21(ctx):
     a = Series.from_poly([1, 1], top) / Series.from_poly([1, -1], top)
     half_plus_x = Poly([Q(1, 2), 1])
     alphas = _numerator_polys("euler", Series.one(top), a, 1, top)
+    us = u_polys(a, top)
     for n in range(1, top + 1):
         v = RiordanArray(Series.one(n), a.truncate(n) - 1).row_poly(n)
         yield ("v_%d" % n, v, Q(2) ** n * _X * half_plus_x ** (n - 1))
         yield "alpha_%d" % n, alphas[n], 2 * _X * Poly([1, 1]) ** (n - 1)
-        u = RiordanArray(Series.one(top), a.log(), EXPONENTIAL).sheffer_row(n)
         want1 = sum((2 * exact.binom(n - 1, p_ - 1) * exact.falling_poly(p_)
                      * exact.rising_from(1, n - p_) for p_ in range(n + 1)),
                     Poly.zero(n))
         want2 = sum((factorial(n) * exact.binom(n - 1, p_ - 1)
                      * Q(2 ** p_, factorial(p_)) * exact.falling_poly(p_)
                      for p_ in range(n + 1)), Poly.zero(n))
-        yield "u_%d (factorial form)" % n, u, want1.with_bound(n)
-        yield "u_%d (descending form)" % n, u, want2.with_bound(n)
+        yield "u_%d (factorial form)" % n, us[n], want1.with_bound(n)
+        yield "u_%d (descending form)" % n, us[n], want2.with_bound(n)
 
 
 def _chk_ex22(ctx):
@@ -707,14 +708,15 @@ def _chk_ex22(ctx):
     asq = g * g
     yield ("square equals the half-parameter family",
            asq, gen_binomial_series(Q(1, 2), 1, order))
+    alphas = _numerator_polys("euler", Series.one(order), asq, 2, 2 * top)
+    us = u_polys(asq, 2 * top)
     for n in range(1, top + 1):
-        yield ("alpha_%d" % (2 * n), alpha_poly(asq, 2 * n),
+        yield ("alpha_%d" % (2 * n), alphas[2 * n],
                Q(1, 2) * Poly([1, 1]) * Poly.monomial(n))
-        u = RiordanArray(Series.one(order), asq.log(), EXPONENTIAL).sheffer_row(2 * n)
         want = Poly.one()
         for m in range(n):
             want = want * Poly([-Q(m * m), 0, 1])
-        yield "u_%d" % (2 * n), u, want.with_bound(2 * n)
+        yield "u_%d" % (2 * n), us[2 * n], want.with_bound(2 * n)
 
 
 def _chk_ex23(ctx):
@@ -739,9 +741,9 @@ def _chk_ex31(ctx):
     top = min(5, ctx.max_n)
     cat = _catalan(top)
     phis = _numerator_polys("narayana", Series.one(top), cat, 1, top)
+    us = u_polys(cat, top)
     for n in range(1, top + 1):
-        u = RiordanArray(Series.one(top), cat.log(), EXPONENTIAL).sheffer_row(n)
-        yield ("u_%d over x" % n, u.div_x(),
+        yield ("u_%d over x" % n, us[n].div_x(),
                exact.rising_from(n + 1, n - 1).with_bound(n - 1))
         lifted = exact.rising_from(n + 1, n).with_bound(n)
         yield ("constant image n=%d" % n, exp_matrix("F", n).apply(lifted),
@@ -855,14 +857,14 @@ def _chk_ex61(ctx):
     order = 2 * top + 2
     for trial in range(8):
         a = _rand_unit(rng, order + 1)
+        alphas = _numerator_polys("euler", Series.one(top), a, 1, top)
         for beta in (Q(1), Q(2)):
             lag = gen_lagrange_series(a, beta, order)
             # lag^beta = rev(x*a^(-beta))/x, which gen_lagrange_series checks
-            image_b = 1 + xdlog(lag.pow(beta))
+            images = _numerator_polys("euler", 1 + xdlog(lag.pow(beta)), lag, 1, top)
             for n in range(1, top + 1):
                 yield ("transport trial=%d beta=%s n=%d" % (trial, beta, n),
-                       beta_matrix("G", n, beta).apply(alpha_poly(a, n)),
-                       euler_numerator(image_b, lag, n).poly)
+                       beta_matrix("G", n, beta).apply(alphas[n]), images[n])
 
 
 def _chk_ex71(ctx):

@@ -171,12 +171,14 @@ def _walk(f, g, n, count):
     return out
 
 
-def array_row(f, g, n, flavor):
+def array_row(f, g, n, flavor, width=None):
     """Row n of the array (f, g): [x^n] f g^m for m = 0..n, times n!/m! in
     the "exponential" flavor; for m = 0..min(len f, len g) - 1 in the
-    "square" flavor."""
-    count = min(len(f), len(g)) if flavor == "square" else n + 1
-    row = _walk(f, g, n, count)
+    "square" flavor.  A ``width`` keeps the entries m < width alone, of
+    any number in the "square" flavor."""
+    if width is None:
+        width = min(len(f), len(g)) if flavor == "square" else n + 1
+    row = _walk(f, g, n, width if flavor == "square" else min(width, n + 1))
     if flavor == "exponential":
         row = [Q(factorial(n), factorial(m)) * v for m, v in enumerate(row)]
     return row

@@ -175,6 +175,10 @@ def test_materialize_range_errors():
         p.column(7)
     with pytest.raises(RangeError):
         p.diagonal(7)
+    with pytest.raises(RangeError, match="row 7 beyond order 6"):
+        p.rows(0, 7, 3)
+    with pytest.raises(RangeError, match="first row 3 beyond top row 2"):
+        p.rows(3, 2, 3)
 
 
 SLICE_CALLS = {

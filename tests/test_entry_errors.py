@@ -68,6 +68,9 @@ ROWS = [
     ("RiordanArray.entry n", lambda v: R.entry(v, 0), BAD),
     ("RiordanArray.entry m", lambda v: R.entry(2, v), BAD),
     ("RiordanArray.row", lambda v: R.row(v), BAD),
+    ("RiordanArray.rows first", lambda v: R.rows(v, 3, 4), BAD),
+    ("RiordanArray.rows top", lambda v: R.rows(0, v, 4), BAD),
+    ("RiordanArray.rows width", lambda v: R.rows(0, 3, v), BAD + (0,)),
     ("RiordanArray.row_poly", lambda v: R.row_poly(v), BAD),
     ("RiordanArray.column", lambda v: R.column(v), BAD),
     ("RiordanArray.diagonal", lambda v: R.diagonal(v), BAD),

@@ -1,13 +1,14 @@
 """What the battery catches: one table of mutations.
 
 Each row corrupts the output of one library function or verify helper
-(or of each of a tuple of them, where one route is computed in more
-than one place) and names the battery checks that must then fail: every
-check that fails at ``MAX_N``, except a slow one that a comment names,
-where a faster named check already catches the mutant.  The mutant
-replaces the name in every ``riordan`` module that holds it, since
-``verify`` and ``genlagrange`` import their constructors with
-``from ... import``, and a method is replaced on its class.  Each named check runs alone at
+and names the battery checks that must then fail: every check that
+fails at ``MAX_N``, except a slow one that a comment names, where a
+faster named check already catches the mutant.  The mutant replaces the
+name in every ``riordan`` module that holds it, since ``verify`` and
+``genlagrange`` import their constructors with ``from ... import``, and
+a method is replaced on its class.  ``RiordanArray.rows``, which every
+route reads its rows from, is corrupted for one flavor at a time, so
+each of its rows stands for one route.  Each named check runs alone at
 ``MAX_N``, through ``fps._mismatch`` as ``run_suite`` compares, and
 stops at its first difference or at the first library error it raises.
 The matrix memos of ``numerator`` and ``genlagrange.beta_matrix`` are
@@ -30,6 +31,7 @@ import pytest
 
 import riordan
 from riordan import fps, genlagrange, numerator, verify
+from riordan.arrays import EXPONENTIAL, ORDINARY, SQUARE
 from riordan.fps import ConsistencyError, DomainError, Poly, RangeError, Series
 from riordan.matrix import FinMatrix
 
@@ -48,9 +50,7 @@ def _bump_entries(entries):
 
 def _bump(value):
     """A Poly or Series with 1 added to coefficient 1 (to coefficient 0
-    if that is its only one); a list of rows with each row bumped so."""
-    if isinstance(value, list):
-        return [_bump_entries(row) for row in value]
+    if that is its only one)."""
     if isinstance(value, Series):
         return Series(_bump_entries(value.coeffs), value.order)
     return Poly(_bump_entries(value.coeffs), value.bound)
@@ -60,6 +60,21 @@ def _output(change):
     """The mutant that applies ``change`` to the original's result."""
     def mutate(original):
         return lambda *args, **kwargs: change(original(*args, **kwargs))
+    return mutate
+
+
+def _bump_all(first, rows):
+    return [_bump_entries(row) for row in rows]
+
+
+def _rows_of(flavor, change):
+    """The mutant of ``RiordanArray.rows`` that applies change(first, rows)
+    to the rows of an array of ``flavor`` alone."""
+    def mutate(original):
+        def rows(self, first, top, width):
+            out = original(self, first, top, width)
+            return change(first, out) if self.flavor == flavor else out
+        return rows
     return mutate
 
 
@@ -81,7 +96,7 @@ ROWS = [
                  ("thm2.5", "thm9.3", "eq2"), id="beta_alpha_closed"),
     pytest.param("genlagrange.u_polys",
                  _output(lambda us: us[:1] + [_bump(u) for u in us[1:]]),
-                 ("ex6.1", "section5"), id="u_polys"),
+                 ("ex2.1", "ex2.2", "ex3.1", "ex6.1", "section5"), id="u_polys"),
     pytest.param("genlagrange.q_series", _output(_bump), ("section5",), id="q_series"),
     pytest.param("arrays.table_row", _output(_bump), ("section5",), id="table_row"),
     pytest.param("genlagrange.gen_lagrange_series", _output(_bump),
@@ -90,16 +105,16 @@ ROWS = [
                  ("ex2.2", "section5"), id="lagrange_pair"),
     pytest.param("arrays.lagrange_pair", _output(lambda s: s.truncate(s.order // 2)),
                  ("ex2.2", "section5"), id="lagrange_pair-half-order"),
-    # the Sheffer rows of (b, log a): Narayana's value route, off one walk per
-    # batch, and the u_n of ex2.1, ex2.2 and ex3.1, one row at a time
-    pytest.param(("numerator._sheffer_rows", "arrays.RiordanArray.sheffer_row"),
-                 _output(_bump),
+    # the exponential rows: the Sheffer rows of (b, log a), Narayana's value
+    # route, and the u_n of (1, log a)
+    pytest.param("arrays.RiordanArray.rows", _rows_of(EXPONENTIAL, _bump_all),
                  ("thm3.2", "thm4.1", "thm4.4", "ex2.1", "ex2.2", "ex3.1", "ex3.2",
-                  "ex4.1", "ex4.2", "ex4.3", "ex7.1", "eq1", "eq3"), id="sheffer_row"),
-    # Euler's value route: the rows of (b, a-1), off one walk per batch
-    pytest.param("numerator._euler_rows", _output(_bump),
-                 ("thm2.2", "thm2.3", "thm4.1", "ex2.1", "ex2.2", "ex2.3", "ex4.1",
-                  "ex4.2", "ex4.3", "ex6.1", "eq1", "eq2"), id="euler_rows"),
+                  "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1", "eq1", "eq3", "section5"),
+                 id="sheffer_row"),
+    # the ordinary rows: Euler's value route, the rows of (b, a-1)
+    pytest.param("arrays.RiordanArray.rows", _rows_of(ORDINARY, _bump_all),
+                 ("fixtures", "thm2.2", "thm2.3", "thm4.1", "ex2.1", "ex2.2", "ex2.3",
+                  "ex4.1", "ex4.2", "ex4.3", "ex6.1", "eq1", "eq2"), id="euler_rows"),
     # section5 also fails, after 0.35 s
     pytest.param("fps.xdlog", _output(_bump),
                  ("fixtures", "ex3.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1"),
@@ -117,18 +132,19 @@ ROWS = [
                   "thm9.3", "thm9.4", "thm9.5", "ex2.1", "ex2.2", "ex2.3", "ex3.1", "ex3.2",
                   "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1", "eq1", "eq2", "eq3",
                   "w-amazing", "col-sums"), id="window"),
-    # the residual route of both extractions, which stays off the window: the
-    # walk b*a^m that every n of a batch reads its slice off
-    pytest.param("numerator._square_walk", _output(_bump),
+    # the square rows: the residual route of both extractions, which stays
+    # off the window, and every n of a batch reads its slice of
+    pytest.param("arrays.RiordanArray.rows", _rows_of(SQUARE, _bump_all),
                  ("thm2.2", "thm2.3", "thm3.2", "thm4.1", "thm4.4", "ex2.1", "ex2.2",
                   "ex2.3", "ex3.1", "ex3.2", "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1",
                   "eq1", "eq2", "eq3"), id="square_row"),
-    # n = 3's slice alone, [x^3] b*a^m for m = 0..7; ex2.2 extracts only at even n
-    pytest.param("numerator._square_walk",
-                 _output(lambda rows: [_bump_entries(r) if len(r) == 8 else r for r in rows]),
-                 ("thm2.2", "thm2.3", "thm3.2", "thm4.1", "thm4.4", "ex2.1", "ex2.3",
-                  "ex3.1", "ex3.2", "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1", "eq1",
-                  "eq2", "eq3"), id="square_walk-one-n"),
+    # n = 3's square row alone, [x^3] b*a^m
+    pytest.param("arrays.RiordanArray.rows",
+                 _rows_of(SQUARE, lambda first, rows: [
+                     _bump_entries(r) if n == 3 else r for n, r in enumerate(rows, first)]),
+                 ("thm2.2", "thm2.3", "thm3.2", "thm4.1", "thm4.4", "ex2.1", "ex2.2",
+                  "ex2.3", "ex3.1", "ex3.2", "ex4.1", "ex4.2", "ex4.3", "ex6.1", "ex7.1",
+                  "eq1", "eq2", "eq3"), id="square_walk-one-n"),
     pytest.param("verify._reduce", _output(lambda m: 2 * m),
                  ("fixtures", "thm6.3", "thm9.3", "w-amazing"), id="reduce"),
     pytest.param("verify._t_points", _output(lambda points: points[:-1]),
@@ -177,11 +193,10 @@ def _clear_memos():
         memo.cache_clear()
 
 
-@pytest.mark.parametrize("targets, mutate, checks", ROWS)
-def test_battery_catches_the_mutation(monkeypatch, targets, mutate, checks):
+@pytest.mark.parametrize("target, mutate, checks", ROWS)
+def test_battery_catches_the_mutation(monkeypatch, target, mutate, checks):
     _clear_memos()
-    for target in (targets,) if isinstance(targets, str) else targets:
-        _install(monkeypatch, target, mutate)
+    _install(monkeypatch, target, mutate)
     try:
         survived = [name for name in checks if _first_failure(name) is None]
     finally:

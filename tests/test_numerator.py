@@ -125,13 +125,16 @@ def test_bad_n_is_domain_error(call, args):
         call(*args)
 
 
-def _entry_1_off_by_one(real):
-    """``real`` with entry 1 of each row it returns off by one."""
-    def wrong(*args):
-        rows = real(*args)
-        for row in rows:
-            row[1] += 1
-        return rows
+def _entry_1_off_by_one(flavor):
+    """``RiordanArray.rows`` with entry 1 of each row it returns off by one
+    for an array of ``flavor``, and as it is for the other flavors."""
+    real = arrays.RiordanArray.rows
+
+    def wrong(self, first, top, width):
+        rows = real(self, first, top, width)
+        if self.flavor != flavor:
+            return rows
+        return [row[:1] + (row[1] + 1,) + row[2:] for row in rows]
     return wrong
 
 
@@ -143,10 +146,10 @@ _RESIDUAL = (r"^numerator against the \(1-x\)\^%d residual window .*"
 def test_euler_numerator_catches_one_wrong_route(monkeypatch):
     one_plus_x = Series.from_poly([1, 1], 12)
     want = euler_numerator(one_plus_x, geo(12), 3)
-    for name, values in (("_euler_rows", "got 2, want 3"),  # row 3 of (b, a-1)
-                         ("_square_walk", "got 3, want 2")):  # the residual's slice
+    for flavor, values in ((arrays.ORDINARY, "got 2, want 3"),  # row 3 of (b, a-1)
+                           (arrays.SQUARE, "got 3, want 2")):  # the residual's row
         with monkeypatch.context() as m:
-            m.setattr(numerator, name, _entry_1_off_by_one(getattr(numerator, name)))
+            m.setattr(arrays.RiordanArray, "rows", _entry_1_off_by_one(flavor))
             with pytest.raises(ConsistencyError, match=_RESIDUAL % (4, 3, 1) + values):
                 euler_numerator(one_plus_x, geo(12), 3)
     assert euler_numerator(one_plus_x, geo(12), 3) == want
@@ -155,12 +158,12 @@ def test_euler_numerator_catches_one_wrong_route(monkeypatch):
 def test_narayana_numerator_catches_one_wrong_route(monkeypatch):
     want = narayana_numerator(Series.one(14), geo(14), 3)
     with monkeypatch.context() as m:  # the Sheffer row lifted through U
-        m.setattr(numerator, "_sheffer_rows", _entry_1_off_by_one(numerator._sheffer_rows))
+        m.setattr(arrays.RiordanArray, "rows", _entry_1_off_by_one(arrays.EXPONENTIAL))
         with pytest.raises(ConsistencyError,
                            match=_RESIDUAL % (7, 3, 1) + "got 24, want 28"):
             narayana_numerator(Series.one(14), geo(14), 3)
     with monkeypatch.context() as m:  # the residual from row 3 of the square array
-        m.setattr(numerator, "_square_walk", _entry_1_off_by_one(numerator._square_walk))
+        m.setattr(arrays.RiordanArray, "rows", _entry_1_off_by_one(arrays.SQUARE))
         with pytest.raises(ConsistencyError,
                            match=_RESIDUAL % (7, 3, 1) + "got 48, want 24"):
             narayana_numerator(Series.one(14), geo(14), 3)

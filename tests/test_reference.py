@@ -171,6 +171,21 @@ def _row(rng, flavor, order):
         yield "row %d" % n, arr.row(n), tuple(ref.array_row(f, g, n, flavor))
 
 
+def _rows(rng, flavor, top):
+    """Rows first..top of one walk, for first = 0, a first in between and
+    first = top, each at widths 1, top + 1 and 2*top + 2."""
+    f, g = (ref.draw_pair if flavor == SQUARE else ref.draw_proper)(rng, top)
+    arr = RiordanArray(Series(f), Series(g), flavor)
+    for first in sorted({0, (top + 1) // 2, top}):
+        for width in sorted({1, top + 1, 2 * top + 2}):
+            rows = arr.rows(first, top, width)
+            where = "first=%d width=%d" % (first, width)
+            yield "%s: number of rows" % where, len(rows), top - first + 1
+            for n, row in enumerate(rows, first):
+                yield ("%s: row %d" % (where, n), row,
+                       tuple(ref.array_row(f, g, n, flavor, width)))
+
+
 def _extraction(extract, reference):
     """Rows for an extraction: ``PAIRS`` seeded (b, a) of order exactly n."""
     def rows(rng, kind, n):
@@ -268,7 +283,7 @@ def _closed_forms(rng, kind, n):
 KERNELS = {
     "product": _product, "inverse": _inverse, "exp": _exp, "log": _log, "pow": _pow,
     "compose": _compose, "reversion": _reversion, "matmul": _matmul, "matinv": _matinv,
-    "row": _row, "euler": _extraction(euler_numerator, ref.euler),
+    "row": _row, "rows": _rows, "euler": _extraction(euler_numerator, ref.euler),
     "narayana": _extraction(narayana_numerator, ref.narayana),
     "numerators-euler": _batch("euler", ref.euler),
     "numerators-narayana": _batch("narayana", ref.narayana),
@@ -299,6 +314,7 @@ TABLE = [
     *[("matmul", kind, range(1, 8)) for kind in MATRIX_KINDS + ("special",)],
     *[("matinv", kind, range(1, 8)) for kind in MATRIX_KINDS + ("zero",)],
     *[("row", flavor, (0, 1, 2, 3, 5, 8, 12)) for flavor in (ORDINARY, EXPONENTIAL, SQUARE)],
+    *[("rows", flavor, (0, 1, 2, 3, 5, 8, 12)) for flavor in (ORDINARY, EXPONENTIAL, SQUARE)],
     ("euler", "pairs", range(9)),
     ("narayana", "pairs", range(9)),
     ("numerators-euler", "pairs", range(13)),
